@@ -1,4 +1,4 @@
-"""Run every cross-validation suite and report timing per suite.
+"""Run every cross-validation suite and print the report with the total time.
 
 Usage: python scripts/full_verify.py [--max-weight W]
 
@@ -8,23 +8,17 @@ Weight 8 is the acceptance-level sweep; higher weights grow combinatorially.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from invkostka import verify_suite
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_weight: int = 8
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-weight", type=int, default=SweepConfig.max_weight)
-    cfg = SweepConfig(max_weight=ap.parse_args().max_weight)
+    ap.add_argument("--max-weight", type=int, default=8)
+    max_weight = ap.parse_args().max_weight
 
     t0 = time.perf_counter()
-    report = verify_suite(cfg.max_weight)
+    report = verify_suite(max_weight)
     elapsed = time.perf_counter() - t0
     for line in report.summary_lines():
         print(line)

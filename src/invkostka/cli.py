@@ -20,8 +20,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .closedforms import FormulaDomainError, g_polynomial, h_polynomial
+from .closedforms import g_polynomial, h_polynomial
 from .inverse import (
+    _BRUTE_MAX_N,
     enumerate_chains_S,
     enumerate_chains_T,
     f_polynomial,
@@ -32,11 +33,9 @@ from .inverse import (
     kostka_matrix,
     monomial_to_schur,
 )
-from .partitions import Partition, PartitionParseError, WeightMismatchError
+from .partitions import Partition, PartitionParseError
 from .steenrod import steenrod_P, steenrod_Sq
 from .verify import verify_suite
-
-_BRUTE_MAX_N = 7
 
 
 class UsageError(Exception):
@@ -53,6 +52,14 @@ def partition(text: str) -> Partition:
     return Partition.parse(text)
 
 
+def _partition_args(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the required --lambda (row) and --mu (column) partition options."""
+    helps = {"lambda": "row partition, e.g. '[1,2]' or '1^1,2^1'", "mu": "column partition"}
+    for name in names:
+        p.add_argument(f"--{name}", dest="lam" if name == "lambda" else name,
+                       type=partition, required=True, metavar="PARTITION", help=helps[name])
+
+
 @dataclass
 class CommandOutput:
     query: dict
@@ -66,11 +73,10 @@ def _parts_json(p: Partition) -> list[int]:
     return list(p.parts)
 
 
-def _poly_output(query: dict, poly, pretty_lines=None) -> CommandOutput:
+def _poly_output(query: dict, poly) -> CommandOutput:
     coeffs = [str(c) for c in poly.coeffs]
-    plain = pretty_lines if pretty_lines is not None else [poly.pretty()]
     rows = [["power", "coeff"]] + [[str(i), c] for i, c in enumerate(coeffs)]
-    return CommandOutput(query, {"coeffs": coeffs}, plain, rows)
+    return CommandOutput(query, {"coeffs": coeffs}, [poly.pretty()], rows)
 
 
 def _expansion_output(query: dict, items) -> CommandOutput:
@@ -257,10 +263,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     p = sub.add_parser("entry", parents=[fmt], help="single inverse Kostka entry")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True,
-                   metavar="PARTITION", help="row partition, e.g. '[1,2]' or '1^1,2^1'")
-    p.add_argument("--mu", dest="mu", type=partition, required=True,
-                   metavar="PARTITION", help="column partition")
+    _partition_args(p, "lambda", "mu")
     p.add_argument("--engine", choices=("duan", "er", "brute", "all"), default="duan",
                    help="which algorithm to run; 'all' cross-checks them "
                         f"(brute skipped beyond {_BRUTE_MAX_N} variables)")
@@ -268,8 +271,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("row", parents=[fmt],
                        help="whole row: Schur expansion of a monomial symmetric function")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True,
-                   metavar="PARTITION")
+    _partition_args(p, "lambda")
     p.set_defaults(handler=_cmd_row)
 
     p = sub.add_parser("matrix", parents=[fmt],
@@ -280,20 +282,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chains", parents=[fmt],
                        help="signed chains whose sum is the entry")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True,
-                   metavar="PARTITION")
-    p.add_argument("--mu", dest="mu", type=partition, required=True,
-                   metavar="PARTITION")
+    _partition_args(p, "lambda", "mu")
     p.add_argument("--family", choices=("S", "T"), required=True,
                    help="S: strip-removal chains; T: part-removal chains")
     p.set_defaults(handler=_cmd_chains)
 
     p = sub.add_parser("fpoly", parents=[fmt],
                        help="signed solution-count polynomial of a pair")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True,
-                   metavar="PARTITION")
-    p.add_argument("--mu", dest="mu", type=partition, required=True,
-                   metavar="PARTITION")
+    _partition_args(p, "lambda", "mu")
     p.add_argument("--n", type=int, default=None, metavar="N",
                    help="number of variables (default: max of the lengths)")
     p.set_defaults(handler=_cmd_fpoly)
@@ -342,24 +338,13 @@ def _render(out: CommandOutput, fmt: str) -> None:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
+        ns = build_parser().parse_args(argv)
         out = ns.handler(ns)
-    except UsageError as e:
+    except (UsageError, PartitionParseError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except PartitionParseError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except WeightMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FormulaDomainError, ValueError) as e:
+    except ValueError as e:  # weight mismatches and formula domain errors too
         print(f"error: {e}", file=sys.stderr)
         return 2
     _render(out, ns.format)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .inverse import inv_kostka_duan
-from .partitions import Partition, WeightMismatchError, remove_part
+from .partitions import Partition, remove_part
 from .symfunc import SchurExpansion
 from .unipoly import UniPolynomial
 
@@ -169,6 +169,10 @@ def h_polynomial(b: int) -> UniPolynomial:
     return window[-1]
 
 
+def _dot(xs, ys) -> UniPolynomial:
+    return sum((a * b for a, b in zip(xs, ys)), UniPolynomial())
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """A 3x3 polynomial matrix, used to run the h recurrence in stride-2
@@ -198,13 +202,7 @@ class TransferMatrix:
 
     def matmul(self, other: "TransferMatrix") -> "TransferMatrix":
         cols = tuple(zip(*other.rows))
-        rows = tuple(
-            tuple(
-                sum((a * b for a, b in zip(row, col)), UniPolynomial())
-                for col in cols
-            )
-            for row in self.rows
-        )
+        rows = tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
         return TransferMatrix(rows)
 
     def pow(self, n: int) -> "TransferMatrix":
@@ -220,10 +218,7 @@ class TransferMatrix:
         return result
 
     def apply(self, vec: tuple[UniPolynomial, ...]) -> tuple[UniPolynomial, ...]:
-        return tuple(
-            sum((a * b for a, b in zip(row, vec)), UniPolynomial())
-            for row in self.rows
-        )
+        return tuple(_dot(row, vec) for row in self.rows)
 
 
 def h_polynomial_matrix(b: int) -> UniPolynomial:
@@ -239,7 +234,7 @@ def h_polynomial_matrix(b: int) -> UniPolynomial:
     power = TransferMatrix.step().pow(k - 3)
     vec = power.apply((_H_BASE[2 + r], _H_BASE[1 + r], _H_BASE[r]))
     row = (UniPolynomial([0, 0, 1]), UniPolynomial([0, -2]), UniPolynomial([1]))
-    return sum((a * b_ for a, b_ in zip(row, vec)), UniPolynomial())
+    return _dot(row, vec)
 
 
 def h_coefficient_check(b: int, bound: int = 10) -> bool:

@@ -1,6 +1,6 @@
 """Inverse Kostka entries by three independent routes.
 
-The three engines share nothing but the partition toolkit:
+The three engines share no recurrence code:
 
 * a recurrence that peels the largest part of mu and removes vertical
   strips ("duan" in the CLI),
@@ -9,9 +9,16 @@ The three engines share nothing but the partition toolkit:
 * a brute-force signed enumeration of rearrangement/permutation pairs
   ("brute" in the CLI).
 
-On top of these sit the chain enumerations whose signed counts reproduce
-the same numbers, the signed-solution polynomial f, and labeled matrix
-builders for whole-weight tables.
+What they take from the partition toolkit are small kernels: the vertical
+strip tables and the last-nonzero compare (duan), the ER reduction kernel
+(er, and the T chains), and the inversion count (brute).
+
+Each recurrence is a one-step expander that takes the sub-entry function
+as an argument: the memoized engine feeds it its own recursion, and the
+Corollary 1 check reuses both expanders with sub-entries from the strip
+engine.  On top of these sit the chain enumerations whose signed counts
+reproduce the same numbers, the signed-solution polynomial f, and labeled
+matrix builders for whole-weight tables.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ from functools import lru_cache
 
 from .partitions import (
     Partition,
-    WeightMismatchError,
+    _er_reduce,
+    _inversions,
+    _last_nonzero_cmp,
+    _strip_predecessors_raw,
+    check_same_weight,
     distinct_permutations,
     enumerate_partitions,
-    _strip_predecessors_raw,
 )
 from .symfunc import SchurExpansion, kostka_number
 from .unipoly import UniPolynomial
@@ -33,17 +43,13 @@ from .unipoly import UniPolynomial
 def cancellation_zero(lam: Partition, mu: Partition) -> bool:
     """True when the entry vanishes for one of the two structural reasons:
     lambda is below mu in the last-nonzero order, or has more parts."""
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
-    if lam.length > mu.length:
-        return True
-    return _last_nonzero_less(lam.parts, mu.parts)
+    check_same_weight(lam, mu)
+    return lam.length > mu.length or _last_nonzero_cmp(lam.parts, mu.parts) < 0
 
 
 def tail_reduction(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     """Strip the maximal common run of equal largest parts from both."""
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+    check_same_weight(lam, mu)
     a, b = lam.parts, mu.parts
     while a and b and a[-1] == b[-1]:
         a = a[:-1]
@@ -51,23 +57,12 @@ def tail_reduction(lam: Partition, mu: Partition) -> tuple[Partition, Partition]
     return Partition._from_sorted(a), Partition._from_sorted(b)
 
 
-def _last_nonzero_less(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    n = max(len(lam), len(mu))
-    a = (0,) * (n - len(lam)) + lam
-    b = (0,) * (n - len(mu)) + mu
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return x < y
-    return False
-
-
 # ---------------------------------------------------------------------------
 # engine 1: peel the largest part of mu, remove vertical strips
 
 
 def inv_kostka_duan(lam: Partition, mu: Partition) -> int:
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+    check_same_weight(lam, mu)
     return _duan_entry(lam.parts, mu.parts)
 
 
@@ -79,13 +74,22 @@ def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         mu = mu[:-1]
     if not lam and not mu:
         return 1
-    if len(lam) > len(mu) or _last_nonzero_less(lam, mu):
+    if len(lam) > len(mu) or _last_nonzero_cmp(lam, mu) < 0:
         return 0
     return _duan_recurse(lam, mu)
 
 
 @lru_cache(maxsize=None)
 def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    return _duan_step(lam, mu, _duan_entry)
+
+
+def _duan_step(lam: tuple[int, ...], mu: tuple[int, ...], sub) -> int:
+    """One strip-removal step: for each distinct part v of lam that is at
+    least the largest part of mu, drop one v from lam and, from the rest of
+    mu, a vertical strip of size v - max(mu), with sign (-1)^(size)."""
+    if not mu:
+        return 0  # nothing to peel
     mu_max = mu[-1]
     rest = mu[:-1]
     total = 0
@@ -93,12 +97,11 @@ def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         strip = value - mu_max
         if strip < 0:
             continue
-        reduced = list(lam)
-        reduced.remove(value)
-        reduced = tuple(reduced)
+        j = lam.index(value)
+        reduced = lam[:j] + lam[j + 1 :]
         sign = -1 if strip % 2 else 1
         for omega in _strip_predecessors_raw(rest, strip):
-            total += sign * _duan_entry(reduced, omega)
+            total += sign * sub(reduced, omega)
     return total
 
 
@@ -107,8 +110,7 @@ def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 def inv_kostka_er(lam: Partition, mu: Partition) -> int:
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+    check_same_weight(lam, mu)
     return _er_recurse(lam.parts, mu.parts)
 
 
@@ -118,22 +120,30 @@ def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         return 1
     if not lam or not mu:
         return 0
+    return _er_step(lam, mu, _er_recurse)
+
+
+def _er_step(lam: tuple[int, ...], mu: tuple[int, ...], sub) -> int:
+    """One part-removal step: for each index i with mu_i + i - 1 a part of
+    lam, drop that part from lam and take the ER reduction of mu at i, with
+    sign (-1)^(i - 1)."""
     distinct = set(lam)
     total = 0
-    for i in range(1, len(mu) + 1):
-        value = mu[i - 1] + i - 1
+    for i, part in enumerate(mu, 1):
+        value = part + i - 1
         if value not in distinct:
             continue
-        reduced = list(lam)
-        reduced.remove(value)
-        omega = tuple(p - 1 for p in mu[: i - 1] if p > 1) + mu[i:]
-        sub = _er_recurse(tuple(reduced), omega)
-        total += -sub if i % 2 == 0 else sub
+        j = lam.index(value)
+        entry = sub(lam[:j] + lam[j + 1 :], _er_reduce(mu, i))
+        total += -entry if i % 2 == 0 else entry
     return total
 
 
 # ---------------------------------------------------------------------------
 # engine 3: brute-force signed pair search
+
+# the cross-checks skip brute force beyond this many variables
+_BRUTE_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -152,28 +162,16 @@ class SolutionPair:
     length: int
 
 
-def _inversions(seq: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        si = seq[i]
-        for j in range(i + 1, len(seq)):
-            if si > seq[j]:
-                inv += 1
-    return inv
-
-
-def _default_n(lam: Partition, mu: Partition) -> int:
-    return max(1, lam.length, mu.length)
-
-
-def _brute_solutions(lam: Partition, mu: Partition, n: int):
-    """Yield (w, staircase permutation, inversion count) for every solution.
+def _brute_solutions(lam: Partition, mu: Partition, n: int | None):
+    """Yield (w, staircase permutation, inversion count) for every solution
+    in n variables (default: the larger length, at least one).
 
     The staircase has distinct entries, so the permutation is recoverable
     from the difference vector alone.
     """
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+    check_same_weight(lam, mu)
+    if n is None:
+        n = max(1, lam.length, mu.length)
     if n < max(lam.length, mu.length) or n < 1:
         raise ValueError(f"n={n} is too small for {lam} and {mu}")
     target = tuple(m + d for m, d in zip(mu.padded(n), range(n)))
@@ -193,14 +191,10 @@ def _brute_solutions(lam: Partition, mu: Partition, n: int):
 
 
 def inv_kostka_bruteforce(lam: Partition, mu: Partition, n: int | None = None) -> int:
-    if n is None:
-        n = _default_n(lam, mu)
     return sum(1 - 2 * (inv % 2) for _, _, inv in _brute_solutions(lam, mu, n))
 
 
 def solution_pairs(lam: Partition, mu: Partition, n: int | None = None) -> list[SolutionPair]:
-    if n is None:
-        n = _default_n(lam, mu)
     out = []
     for w, diff, inv in _brute_solutions(lam, mu, n):
         sigma = tuple(d + 1 for d in diff)
@@ -212,16 +206,10 @@ def f_polynomial(lam: Partition, mu: Partition, n: int | None = None) -> UniPoly
     """The signed generating polynomial of solution pairs by inversion count:
     coefficient of t^i is (-1)^i times the number of solutions of length i.
     Evaluation at 1 gives the inverse Kostka entry; at -1, the solution count."""
-    if n is None:
-        n = _default_n(lam, mu)
-    counts: dict[int, int] = {}
+    coeffs: list[int] = []
     for _, _, inv in _brute_solutions(lam, mu, n):
-        counts[inv] = counts.get(inv, 0) + 1
-    if not counts:
-        return UniPolynomial()
-    coeffs = [0] * (max(counts) + 1)
-    for inv, c in counts.items():
-        coeffs[inv] = -c if inv % 2 else c
+        coeffs += [0] * (inv + 1 - len(coeffs))
+        coeffs[inv] += -1 if inv % 2 else 1
     return UniPolynomial(coeffs)
 
 
@@ -253,68 +241,68 @@ class ChainT:
     sign: int
 
 
-def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+def _chains(lam: Partition, mu: Partition, moves, successors) -> list:
+    """Backtrack from mu down to the empty partition, spending each part of
+    lam as the value of exactly one step.  ``moves(parts)`` lists the
+    (value, j) steps out of a partition and ``successors(parts, j)`` where
+    step j leads.  Returns (steps, values, sum of j) for every chain, with
+    its steps listed from the empty end, in depth-first order."""
+    check_same_weight(lam, mu)
     k = lam.length
-    chains: list[ChainS] = []
-    acc: list[tuple[Partition, int]] = []
+    remaining = dict(lam.multiplicities())
+    acc: list[tuple[Partition, int, int]] = []
+    found: list = []
 
-    def rec(current: Partition, remaining: dict[int, int]) -> None:
+    def rec(current: Partition) -> None:
         if len(acc) == k:
-            if current.length == 0:
-                steps = tuple(reversed(acc))
-                bs = tuple(p.largest + j for p, j in steps)
-                jsum = sum(j for _, j in steps)
-                chains.append(ChainS(steps, bs, 1 - 2 * (jsum % 2)))
+            if not current.parts:
+                steps = acc[::-1]
+                found.append((
+                    tuple((p, j) for p, j, _ in steps),
+                    tuple(v for _, _, v in steps),
+                    sum(j for _, j, _ in steps),
+                ))
             return
-        top = current.largest
-        rest = current.drop_largest()
-        for b in sorted(remaining):  # ascending b means ascending strip size
-            if remaining[b] == 0 or b < top:
+        for value, j in moves(current.parts):
+            if not remaining.get(value):
                 continue
-            remaining[b] -= 1
-            acc.append((current, b - top))
-            for omega in _strip_predecessors_raw(rest.parts, b - top):
-                rec(Partition._from_sorted(omega), remaining)
+            remaining[value] -= 1
+            acc.append((current, j, value))
+            for nxt in successors(current.parts, j):
+                rec(Partition._from_sorted(nxt))
             acc.pop()
-            remaining[b] += 1
+            remaining[value] += 1
 
-    counts = {v: m for v, m in lam.multiplicities()}
-    rec(mu, counts)
-    return chains
+    rec(mu)
+    return found
+
+
+def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
+    values = tuple(dict.fromkeys(lam.parts))  # distinct, ascending
+
+    def moves(ps):  # ascending b means ascending strip size
+        top = ps[-1] if ps else 0
+        return [(b, b - top) for b in values if b >= top]
+
+    return [
+        ChainS(steps, bs, 1 - 2 * (jsum % 2))
+        for steps, bs, jsum in _chains(
+            lam, mu, moves, lambda ps, j: _strip_predecessors_raw(ps[:-1], j)
+        )
+    ]
 
 
 def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
     k = lam.length
-    chains: list[ChainT] = []
-    acc: list[tuple[Partition, int]] = []
-
-    def rec(current: Partition, remaining: dict[int, int]) -> None:
-        if len(acc) == k:
-            if current.length == 0:
-                steps = tuple(reversed(acc))
-                avals = tuple(p.parts[j - 1] + j - 1 for p, j in steps)
-                jsum = sum(j for _, j in steps)
-                chains.append(ChainT(steps, avals, 1 - 2 * ((jsum - k) % 2)))
-            return
-        ps = current.parts
-        for j in range(1, len(ps) + 1):
-            a = ps[j - 1] + j - 1
-            if remaining.get(a, 0) == 0:
-                continue
-            remaining[a] -= 1
-            acc.append((current, j))
-            reduced = tuple(p - 1 for p in ps[: j - 1] if p > 1) + ps[j:]
-            rec(Partition._from_sorted(reduced), remaining)
-            acc.pop()
-            remaining[a] += 1
-
-    counts = {v: m for v, m in lam.multiplicities()}
-    rec(mu, counts)
-    return chains
+    return [
+        ChainT(steps, avals, 1 - 2 * ((jsum - k) % 2))
+        for steps, avals, jsum in _chains(
+            lam,
+            mu,
+            lambda ps: [(p + j - 1, j) for j, p in enumerate(ps, 1)],
+            lambda ps, j: (_er_reduce(ps, j),),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +350,18 @@ class LabeledMatrix:
         )
 
 
+def _weight_matrix(m: int, entry) -> LabeledMatrix:
+    parts = tuple(enumerate_partitions(m))
+    return LabeledMatrix(parts, tuple(tuple(entry(lam, mu) for mu in parts) for lam in parts))
+
+
 def kostka_matrix(m: int) -> LabeledMatrix:
     """Kostka numbers over all partitions of m, via tableau counting."""
-    parts = tuple(enumerate_partitions(m))
-    rows = tuple(
-        tuple(kostka_number(lam, mu) for mu in parts) for lam in parts
-    )
-    return LabeledMatrix(parts, rows)
+    return _weight_matrix(m, kostka_number)
 
 
 def inverse_kostka_matrix(m: int) -> LabeledMatrix:
-    parts = tuple(enumerate_partitions(m))
-    rows = tuple(
-        tuple(inv_kostka_duan(lam, mu) for mu in parts) for lam in parts
-    )
-    return LabeledMatrix(parts, rows)
+    return _weight_matrix(m, inv_kostka_duan)
 
 
 @dataclass(frozen=True)
@@ -387,36 +372,9 @@ class Corollary1Check:
 
 
 def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
-    """Expand the entry one step along each recurrence independently (with
-    sub-entries from the strip engine) and compare the two sums."""
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
-
-    mu_max = mu.largest
-    rest = mu.drop_largest()
-    lhs = 0
-    for value, _ in lam.multiplicities():
-        strip = value - mu_max
-        if strip < 0:
-            continue
-        reduced = list(lam.parts)
-        reduced.remove(value)
-        reduced_p = Partition(reduced)
-        sign = -1 if strip % 2 else 1
-        for omega in _strip_predecessors_raw(rest.parts, strip):
-            lhs += sign * inv_kostka_duan(reduced_p, Partition._from_sorted(omega))
-
-    distinct = set(lam.parts)
-    rhs = 0
-    ps = mu.parts
-    for i in range(1, len(ps) + 1):
-        value = ps[i - 1] + i - 1
-        if value not in distinct:
-            continue
-        reduced = list(lam.parts)
-        reduced.remove(value)
-        omega = tuple(p - 1 for p in ps[: i - 1] if p > 1) + ps[i:]
-        sub = inv_kostka_duan(Partition(reduced), Partition._from_sorted(omega))
-        rhs += -sub if i % 2 == 0 else sub
-
+    """Expand the entry one step along each recurrence, both fed with
+    sub-entries from the strip engine, and compare the two sums."""
+    check_same_weight(lam, mu)
+    lhs = _duan_step(lam.parts, mu.parts, _duan_entry)
+    rhs = _er_step(lam.parts, mu.parts, _duan_entry)
     return Corollary1Check(lhs, rhs, lhs == rhs)

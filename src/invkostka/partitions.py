@@ -36,7 +36,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts))
         for p in ps:
-            if not isinstance(p, int) or p < 1:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
         self.parts = ps
 
@@ -225,51 +225,45 @@ def er_reduction(mu: Partition, i: int) -> Partition:
     """
     if not 1 <= i <= mu.length:
         raise IndexError(f"part index {i} out of range for {mu}")
-    ps = mu.parts
-    kept = tuple(p - 1 for p in ps[: i - 1] if p > 1) + ps[i:]
-    return Partition._from_sorted(kept)
+    return Partition._from_sorted(_er_reduce(mu.parts, i))
 
 
-@lru_cache(maxsize=None)
-def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    # Aligned by padded position, a removable vertical strip decrements a
-    # sub-multiset of parts by one each, no part twice; enumerating one
-    # decrement count per block of equal parts hits each result exactly once.
+def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
+    # tuple kernel of er_reduction, shared by the er engine and the T chains
+    return tuple(p - 1 for p in parts[: i - 1] if p > 1) + parts[i:]
+
+
+def _strip_moves(parts: tuple[int, ...], r: int, step: int) -> tuple[tuple[int, ...], ...]:
+    # Aligned by padded position, a vertical r-strip moves r of the padded
+    # entries by `step` (-1 removes a strip, +1 adds one), no entry twice;
+    # choosing how many entries move per block of equal values hits each
+    # result exactly once.  Adding may also turn padding zeros into ones.
     blocks = [(v, len(list(g))) for v, g in groupby(parts)]
+    if step > 0:
+        blocks.insert(0, (0, r))
     found: set[tuple[int, ...]] = set()
 
     def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
         if idx == len(blocks):
             if left == 0:
-                found.add(tuple(sorted(acc)))
+                found.add(tuple(sorted(p for p in acc if p)))
             return
         value, mult = blocks[idx]
         for k in range(min(mult, left) + 1):
-            ext = (value,) * (mult - k)
-            if value > 1:
-                ext += (value - 1,) * k
-            rec(idx + 1, left - k, acc + ext)
+            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + step,) * k)
 
     rec(0, r, ())
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)
+def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    return _strip_moves(parts, r, -1)
+
+
+@lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    found: set[tuple[int, ...]] = set()
-
-    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
-        if idx == len(blocks):
-            # anything not yet used becomes a new part equal to 1
-            found.add(tuple(sorted(acc + (1,) * left)))
-            return
-        value, mult = blocks[idx]
-        for k in range(min(mult, left) + 1):
-            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + 1,) * k)
-
-    rec(0, r, ())
-    return tuple(sorted(found, key=lambda t: (len(t), t)))
+    return _strip_moves(parts, r, 1)
 
 
 def vertical_strip_predecessors(mu: Partition, r: int) -> list[Partition]:
@@ -290,15 +284,35 @@ def vertical_strip_successors(lam: Partition, r: int) -> list[Partition]:
     return [Partition._from_sorted(t) for t in _strip_successors_raw(lam.parts, r)]
 
 
+def check_same_weight(lam: Partition, mu: Partition) -> None:
+    """Raise WeightMismatchError unless lam and mu have the same weight."""
+    if lam.weight != mu.weight:
+        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+
+
 def last_nonzero_compare(lam: Partition, mu: Partition) -> int:
     """Total order on equal-weight partitions: sign of the last nonzero
     difference of the padded vectors.  Returns -1, 0, or +1."""
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
-    n = max(lam.length, mu.length)
-    a = lam.padded(n)
-    b = mu.padded(n)
+    check_same_weight(lam, mu)
+    return _last_nonzero_cmp(lam.parts, mu.parts)
+
+
+def _last_nonzero_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    # Padding puts the largest parts last, so the padded vectors are
+    # compared from the end; once the shorter tuple runs out, the longer
+    # one still has a positive part where the other has a zero.
     for x, y in zip(reversed(a), reversed(b)):
         if x != y:
             return 1 if x > y else -1
-    return 0
+    return (len(a) > len(b)) - (len(a) < len(b))
+
+
+def _inversions(seq: tuple[int, ...]) -> int:
+    """Number of pairs i < j with seq[i] > seq[j]."""
+    inv = 0
+    for i in range(len(seq)):
+        si = seq[i]
+        for j in range(i + 1, len(seq)):
+            if si > seq[j]:
+                inv += 1
+    return inv

@@ -22,49 +22,31 @@ from .partitions import Partition
 from .symfunc import (
     SchurExpansion,
     SparsePolynomial,
+    _combine,
+    _scale,
     elementary_symmetric,
     pieri_multiply,
 )
+from .unipoly import _pretty_sum
 
 
-class ModPExpansion:
-    """A Schur expansion with coefficients reduced to residues 0..p-1."""
+class ModPExpansion(SchurExpansion):
+    """A Schur expansion with coefficients reduced to residues 0..p-1.
 
-    __slots__ = ("p", "coeffs")
+    Sums and scalar multiples are inherited and give integer expansions
+    of the residues."""
+
+    __slots__ = ("p",)
 
     def __init__(self, p: int, coeffs=None):
         if p < 2:
             raise ValueError("modulus must be at least 2")
-        clean: dict[Partition, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for part, c in items:
-                if not isinstance(part, Partition):
-                    part = Partition(part)
-                v = (clean.get(part, 0) + c) % p
-                if v:
-                    clean[part] = v
-                elif part in clean:
-                    del clean[part]
+        super().__init__(coeffs)
         self.p = p
-        self.coeffs = clean
-
-    def get(self, mu: Partition) -> int:
-        return self.coeffs.get(mu, 0)
-
-    def items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
-
-    def support(self) -> list[Partition]:
-        return [p for p, _ in self.items()]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        self.coeffs = {part: c % p for part, c in self.coeffs.items() if c % p}
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ModPExpansion):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
+        return super().__eq__(other) and self.p == other.p
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{part}: {c}" for part, c in self.items())
@@ -95,20 +77,22 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
 
 
-def steenrod_P(k: int, m: int, p: int) -> ModPExpansion:
-    """Schur coefficients of P^k(c_m) for an odd prime p."""
-    if not _is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+def _power_row(k: int, m: int, p: int) -> ModPExpansion:
     _check_km(k, m)
     lam = Partition.from_multiplicities(((1, m - k), (p, k)))
     return expansion_mod(monomial_to_schur(lam), p)
 
 
+def steenrod_P(k: int, m: int, p: int) -> ModPExpansion:
+    """Schur coefficients of P^k(c_m) for an odd prime p."""
+    if not _is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    return _power_row(k, m, p)
+
+
 def steenrod_Sq(k: int, m: int) -> ModPExpansion:
     """Schur coefficients of Sq^k(w_m)."""
-    _check_km(k, m)
-    lam = Partition.from_multiplicities(((1, m - k), (2, k)))
-    return expansion_mod(monomial_to_schur(lam), 2)
+    return _power_row(k, m, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +109,19 @@ class EPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for indices, c in items:
-                if any(i < 0 for i in indices):
-                    continue
-                key = tuple(sorted(i for i in indices if i > 0))
-                v = clean.get(key, 0) + c
-                if v:
-                    clean[key] = v
-                elif key in clean:
-                    del clean[key]
-        self.terms = clean
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = _combine((_e_key(indices), c) for indices, c in items)
+        self.terms.pop(None, None)  # terms with a negative index
+
+    @classmethod
+    def _unsafe(cls, terms: dict[tuple[int, ...], int]) -> "EPolynomial":
+        # internal callers pass a dict that is already clean
+        res = object.__new__(cls)
+        res.terms = terms
+        return res
 
     def get(self, indices: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(sorted(indices)), 0)
+        return self.terms.get(_e_key(indices), 0)
 
     def items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
@@ -156,52 +137,33 @@ class EPolynomial:
     def __add__(self, other: "EPolynomial") -> "EPolynomial":
         if not isinstance(other, EPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        res = object.__new__(EPolynomial)
-        res.terms = out
-        return res
+        return EPolynomial._unsafe(_combine(other.terms.items(), dict(self.terms)))
 
     def __mul__(self, scalar: int) -> "EPolynomial":
         if not isinstance(scalar, int):
             return NotImplemented
-        if scalar == 0:
-            return EPolynomial()
-        res = object.__new__(EPolynomial)
-        res.terms = {k: c * scalar for k, c in self.terms.items()}
-        return res
+        return EPolynomial._unsafe(_scale(self.terms, scalar))
 
     __rmul__ = __mul__
 
     def reduce_mod(self, p: int) -> "EPolynomial":
         if p < 2:
             raise ValueError("modulus must be at least 2")
-        out = {k: c % p for k, c in self.terms.items() if c % p}
-        res = object.__new__(EPolynomial)
-        res.terms = out
-        return res
+        return EPolynomial._unsafe({k: c % p for k, c in self.terms.items() if c % p})
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key, c in self.items():
-            name = "*".join(f"e{i}" for i in key) if key else "1"
-            mag = abs(c)
-            body = name if mag == 1 and key else (f"{mag}*{name}" if key else str(mag))
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _pretty_sum(("*".join(f"e{i}" for i in key), c) for key, c in self.items())
 
     def __repr__(self) -> str:
         return f"EPolynomial({self.pretty()})"
+
+
+def _e_key(indices) -> tuple[int, ...] | None:
+    # A product of e_i is keyed by its sorted nonzero indices (e_0 is the
+    # unit); None marks a product with a negative index, which is zero.
+    if any(i < 0 for i in indices):
+        return None
+    return tuple(sorted(i for i in indices if i > 0))
 
 
 def giambelli_hook2(m: int, k: int) -> EPolynomial:
@@ -250,14 +212,8 @@ def wu_rhs(k: int, m: int) -> ModPExpansion:
     """Schur coefficients mod 2 of the classical Wu right-hand side
     sum over 0 <= i <= k of C(m-i-1, k-i) w_i w_(m+k-i)."""
     _check_km(k, m)
-    acc = SchurExpansion()
-    for i in range(k + 1):
-        c = _wu_binom(m - i - 1, k - i)
-        if c % 2 == 0:
-            continue
-        key = tuple(sorted(j for j in (i, m + k - i) if j > 0))
-        acc = acc + c * _e_indices_to_schur(key)
-    return expansion_mod(acc, 2)
+    ep = EPolynomial({(i, m + k - i): _wu_binom(m - i - 1, k - i) % 2 for i in range(k + 1)})
+    return expansion_mod(epoly_to_schur(ep), 2)
 
 
 def _wu_binom(n: int, r: int) -> int:

@@ -11,14 +11,35 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 from typing import Iterable, Mapping
 
 from .partitions import (
     Partition,
-    WeightMismatchError,
+    _inversions,
+    check_same_weight,
     distinct_permutations,
     vertical_strip_successors,
 )
+
+
+def _combine(pairs: Iterable[tuple], into: dict | None = None) -> dict:
+    """Add the coefficients of (key, coeff) pairs per key into a clean dict
+    (a new one by default), dropping every key whose sum becomes zero."""
+    out: dict = {} if into is None else into
+    get = out.get
+    for key, c in pairs:
+        v = get(key, 0) + c
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _scale(coeffs: dict, scalar: int) -> dict:
+    """Every coefficient times a scalar; empty when the scalar is zero."""
+    return {key: c * scalar for key, c in coeffs.items()} if scalar else {}
 
 
 def staircase(n: int) -> tuple[int, ...]:
@@ -83,43 +104,27 @@ class SparsePolynomial:
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return SparsePolynomial._unsafe(self.n, out)
+        return SparsePolynomial._unsafe(self.n, _combine(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return SparsePolynomial._unsafe(self.n, {})
-            return SparsePolynomial._unsafe(
-                self.n, {e: c * other for e, c in self.terms.items()}
-            )
+            return SparsePolynomial._unsafe(self.n, _scale(self.terms, other))
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        a, b = self.terms, other.terms
+        a, b = self.terms.items(), other.terms.items()
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return SparsePolynomial._unsafe(self.n, out)
+        return SparsePolynomial._unsafe(
+            self.n,
+            _combine(
+                (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a for e2, c2 in b
+            ),
+        )
 
     __rmul__ = __mul__
 
@@ -135,16 +140,6 @@ def monomial_symmetric(lam: Partition, n: int) -> SparsePolynomial:
     return SparsePolynomial._unsafe(n, {w: 1 for w in distinct_permutations(padded)})
 
 
-def _inversions(seq: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        si = seq[i]
-        for j in range(i + 1, len(seq)):
-            if si > seq[j]:
-                inv += 1
-    return inv
-
-
 def alternant(alpha: tuple[int, ...]) -> SparsePolynomial:
     """The determinant det(x_j^{alpha_i}) as a signed sum over permutations.
 
@@ -157,15 +152,10 @@ def alternant(alpha: tuple[int, ...]) -> SparsePolynomial:
         raise ValueError("alpha must be non-empty")
     if any(e < 0 for e in alpha):
         raise ValueError("alpha entries must be non-negative")
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(n)):
-        expo = tuple(alpha[p] for p in perm)
-        sign = -1 if _inversions(perm) % 2 else 1
-        v = terms.get(expo, 0) + sign
-        if v:
-            terms[expo] = v
-        elif expo in terms:
-            del terms[expo]
+    terms = _combine(
+        (tuple(alpha[p] for p in perm), -1 if _inversions(perm) % 2 else 1)
+        for perm in permutations(range(n))
+    )
     return SparsePolynomial._unsafe(n, terms)
 
 
@@ -230,11 +220,6 @@ def schur(lam: Partition, n: int) -> SparsePolynomial:
     return SparsePolynomial._unsafe(n, terms)
 
 
-def coefficient_extract(h: SparsePolynomial, alpha: Iterable[int]) -> int:
-    """The coefficient of x^alpha in h."""
-    return h.coefficient(alpha)
-
-
 def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
     """Collect the terms with last exponent r and drop the last variable."""
     if h.n < 2:
@@ -262,8 +247,7 @@ def _kostka_raw(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
 
 def kostka_number(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
-    if lam.weight != mu.weight:
-        raise WeightMismatchError(f"{lam} and {mu} have different weights")
+    check_same_weight(lam, mu)
     return _kostka_raw(tuple(reversed(lam.parts)), mu.parts)
 
 
@@ -273,18 +257,17 @@ class SchurExpansion:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean: dict[Partition, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for part, c in items:
-                if not isinstance(part, Partition):
-                    part = Partition(part)
-                v = clean.get(part, 0) + c
-                if v:
-                    clean[part] = v
-                elif part in clean:
-                    del clean[part]
-        self.coeffs = clean
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        self.coeffs = _combine(
+            (p if isinstance(p, Partition) else Partition(p), c) for p, c in items
+        )
+
+    @classmethod
+    def _unsafe(cls, coeffs: dict[Partition, int]) -> "SchurExpansion":
+        # internal callers pass a dict that is already clean
+        exp = object.__new__(cls)
+        exp.coeffs = coeffs
+        return exp
 
     def get(self, mu: Partition) -> int:
         return self.coeffs.get(mu, 0)
@@ -299,26 +282,15 @@ class SchurExpansion:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SchurExpansion) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            v = out.get(p, 0) + c
-            if v:
-                out[p] = v
-            elif p in out:
-                del out[p]
-        exp = object.__new__(SchurExpansion)
-        exp.coeffs = out
-        return exp
+        return SchurExpansion._unsafe(_combine(other.coeffs.items(), dict(self.coeffs)))
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        exp = object.__new__(SchurExpansion)
-        exp.coeffs = {p: c * scalar for p, c in self.coeffs.items()} if scalar else {}
-        return exp
+        return SchurExpansion._unsafe(_scale(self.coeffs, scalar))
 
     __rmul__ = __mul__
 
@@ -332,17 +304,13 @@ def pieri_multiply(expansion: SchurExpansion, r: int) -> SchurExpansion:
     vertical r-strip.  Stable form: shapes of any length are retained."""
     if r < 0:
         raise ValueError("strip size must be non-negative")
-    out: dict[Partition, int] = {}
-    for part, c in expansion.coeffs.items():
-        for succ in vertical_strip_successors(part, r):
-            v = out.get(succ, 0) + c
-            if v:
-                out[succ] = v
-            elif succ in out:
-                del out[succ]
-    exp = object.__new__(SchurExpansion)
-    exp.coeffs = out
-    return exp
+    return SchurExpansion._unsafe(
+        _combine(
+            (succ, c)
+            for part, c in expansion.coeffs.items()
+            for succ in vertical_strip_successors(part, r)
+        )
+    )
 
 
 def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomial:

@@ -7,6 +7,22 @@ trailing zeros trimmed, so equal polynomials compare equal as tuples.
 from __future__ import annotations
 
 
+def _pretty_sum(terms) -> str:
+    """Render (monomial name, coefficient) pairs like ``3 - t + 2*t^2``; the
+    empty name is the constant term.  Zero coefficients are skipped."""
+    pieces: list[str] = []
+    for name, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = name if mag == 1 and name else f"{mag}*{name}" if name else str(mag)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
+
+
 class UniPolynomial:
     __slots__ = ("coeffs",)
 
@@ -86,23 +102,10 @@ class UniPolynomial:
 
     def pretty(self, var: str = "t") -> str:
         """Human-readable form like ``1 - 165*t^3 + 924*t^6``."""
-        if not self.coeffs:
-            return "0"
-        pieces: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _pretty_sum(
+            ("" if k == 0 else var if k == 1 else f"{var}^{k}", c)
+            for k, c in enumerate(self.coeffs)
+        )
 
     def __repr__(self) -> str:
         return f"UniPolynomial({list(self.coeffs)!r})"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inverse import (
+    _BRUTE_MAX_N,
     cancellation_zero,
     enumerate_chains_S,
     enumerate_chains_T,
@@ -37,8 +38,6 @@ from .inverse import (
 )
 from .partitions import Partition, enumerate_partitions
 from .steenrod import steenrod_Sq, wu_rhs
-
-_BRUTE_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -105,162 +104,113 @@ def exact_integer_inverse(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[i
     return tuple(out)
 
 
-def _suite_engine_agreement(max_weight: int) -> SuiteResult:
-    checked = 0
+# Each suite is a generator that yields once per check: None when the check
+# passes, or a description of the counterexample, which ends the suite.
+
+
+def _pairs(weights):
+    for m in weights:
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            for mu in parts:
+                yield m, lam, mu
+
+
+def _suite_engine_agreement(max_weight: int):
     for m in range(0, max_weight + 1):
         parts = enumerate_partitions(m)
-        oracle = None
-        if parts:
-            counts = kostka_matrix(m)
-            oracle = exact_integer_inverse(counts.entries)
+        oracle = exact_integer_inverse(kostka_matrix(m).entries)
         for i, lam in enumerate(parts):
             for j, mu in enumerate(parts):
                 a = inv_kostka_duan(lam, mu)
                 b = inv_kostka_er(lam, mu)
                 if a != b:
-                    return SuiteResult(
-                        "engine_agreement", False, checked,
-                        f"duan={a} er={b} at ({lam}, {mu})",
-                    )
-                if oracle is not None and a != oracle[i][j]:
-                    return SuiteResult(
-                        "engine_agreement", False, checked,
-                        f"duan={a} matrix-oracle={oracle[i][j]} at ({lam}, {mu})",
-                    )
-                if max(1, lam.length, mu.length) <= _BRUTE_MAX_N:
+                    yield f"duan={a} er={b} at ({lam}, {mu})"
+                elif a != oracle[i][j]:
+                    yield f"duan={a} matrix-oracle={oracle[i][j]} at ({lam}, {mu})"
+                elif max(1, lam.length, mu.length) > _BRUTE_MAX_N:
+                    yield None
+                else:
                     c = inv_kostka_bruteforce(lam, mu)
-                    if a != c:
-                        return SuiteResult(
-                            "engine_agreement", False, checked,
-                            f"duan={a} brute={c} at ({lam}, {mu})",
-                        )
-                checked += 1
-    return SuiteResult("engine_agreement", True, checked)
+                    yield None if a == c else f"duan={a} brute={c} at ({lam}, {mu})"
 
 
-def _suite_matrix_identity(max_weight: int) -> SuiteResult:
-    checked = 0
+def _suite_matrix_identity(max_weight: int):
     for m in range(0, max_weight + 1):
-        if not enumerate_partitions(m):
-            continue
         prod = kostka_matrix(m).matmul(inverse_kostka_matrix(m))
-        if not prod.is_identity():
-            return SuiteResult(
-                "matrix_identity", False, checked, f"K * K^-1 != I at weight {m}"
-            )
-        checked += 1
-    return SuiteResult("matrix_identity", True, checked)
+        yield None if prod.is_identity() else f"K * K^-1 != I at weight {m}"
 
 
-def _suite_chain_sums(max_weight: int) -> SuiteResult:
-    checked = 0
-    for m in range(0, min(max_weight, 6) + 1):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                k = inv_kostka_duan(lam, mu)
-                s = sum(ch.sign for ch in enumerate_chains_S(lam, mu))
-                t = sum(ch.sign for ch in enumerate_chains_T(lam, mu))
-                if not k == s == t:
-                    return SuiteResult(
-                        "chain_sums", False, checked,
-                        f"entry={k} S-sum={s} T-sum={t} at ({lam}, {mu})",
-                    )
-                checked += 1
-    return SuiteResult("chain_sums", True, checked)
+def _suite_chain_sums(max_weight: int):
+    for _, lam, mu in _pairs(range(0, min(max_weight, 6) + 1)):
+        k = inv_kostka_duan(lam, mu)
+        s = sum(ch.sign for ch in enumerate_chains_S(lam, mu))
+        t = sum(ch.sign for ch in enumerate_chains_T(lam, mu))
+        yield None if k == s == t else f"entry={k} S-sum={s} T-sum={t} at ({lam}, {mu})"
 
 
-def _suite_corollary1(max_weight: int) -> SuiteResult:
-    checked = 0
-    for m in range(1, min(max_weight, 7) + 1):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                res = verify_corollary1(lam, mu)
-                if not res.equal:
-                    return SuiteResult(
-                        "one_step_expansions", False, checked,
-                        f"lhs={res.lhs} rhs={res.rhs} at ({lam}, {mu})",
-                    )
-                checked += 1
-    return SuiteResult("one_step_expansions", True, checked)
+def _suite_corollary1(max_weight: int):
+    for _, lam, mu in _pairs(range(1, min(max_weight, 7) + 1)):
+        res = verify_corollary1(lam, mu)
+        yield None if res.equal else f"lhs={res.lhs} rhs={res.rhs} at ({lam}, {mu})"
 
 
-def _suite_cancellation(max_weight: int) -> SuiteResult:
-    checked = 0
+def _suite_cancellation(max_weight: int):
     for m in range(0, max_weight + 1):
         parts = enumerate_partitions(m)
         for lam in parts:
             if inv_kostka_duan(lam, lam) != 1:
-                return SuiteResult(
-                    "structure", False, checked, f"diagonal entry != 1 at {lam}"
-                )
-            checked += 1
+                yield f"diagonal entry != 1 at {lam}"
+            yield None
             for mu in parts:
+                entry = inv_kostka_duan(lam, mu)
                 if cancellation_zero(lam, mu):
-                    if inv_kostka_duan(lam, mu) != 0:
-                        return SuiteResult(
-                            "structure", False, checked,
-                            f"structural zero violated at ({lam}, {mu})",
-                        )
-                    checked += 1
+                    yield None if entry == 0 else f"structural zero violated at ({lam}, {mu})"
                 rl, rm = tail_reduction(lam, mu)
-                if inv_kostka_duan(rl, rm) != inv_kostka_duan(lam, mu):
-                    return SuiteResult(
-                        "structure", False, checked,
-                        f"top-part reduction changed the entry at ({lam}, {mu})",
-                    )
-                checked += 1
-    return SuiteResult("structure", True, checked)
+                if inv_kostka_duan(rl, rm) != entry:
+                    yield f"top-part reduction changed the entry at ({lam}, {mu})"
+                yield None
 
 
-def _suite_stability(max_weight: int) -> SuiteResult:
-    checked = 0
-    for m in range(0, min(max_weight, 5) + 1):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                base = max(1, lam.length, mu.length)
-                if base > _BRUTE_MAX_N:
-                    continue
-                vals = {
-                    inv_kostka_bruteforce(lam, mu, n)
-                    for n in range(base, m + 2)
-                }
-                if len(vals) != 1:
-                    return SuiteResult(
-                        "variable_count_stability", False, checked,
-                        f"value depends on n at ({lam}, {mu}): {sorted(vals)}",
-                    )
-                checked += 1
-    return SuiteResult("variable_count_stability", True, checked)
+def _suite_stability(max_weight: int):
+    for m, lam, mu in _pairs(range(0, min(max_weight, 5) + 1)):
+        base = max(1, lam.length, mu.length)
+        if base > _BRUTE_MAX_N:
+            continue
+        vals = {inv_kostka_bruteforce(lam, mu, n) for n in range(base, m + 2)}
+        if len(vals) != 1:
+            yield f"value depends on n at ({lam}, {mu}): {sorted(vals)}"
+        yield None
 
 
-def _suite_wu(max_weight: int) -> SuiteResult:
-    checked = 0
+def _suite_wu(max_weight: int):
     for m in range(1, min(max_weight, 10) + 1):
         for k in range(0, m + 1):
-            if steenrod_Sq(k, m) != wu_rhs(k, m):
-                return SuiteResult(
-                    "wu_formula", False, checked, f"mismatch at k={k}, m={m}"
-                )
-            checked += 1
-    return SuiteResult("wu_formula", True, checked)
+            yield None if steenrod_Sq(k, m) == wu_rhs(k, m) else f"mismatch at k={k}, m={m}"
 
 
 _SUITES = (
-    _suite_engine_agreement,
-    _suite_matrix_identity,
-    _suite_chain_sums,
-    _suite_corollary1,
-    _suite_cancellation,
-    _suite_stability,
-    _suite_wu,
+    ("engine_agreement", _suite_engine_agreement),
+    ("matrix_identity", _suite_matrix_identity),
+    ("chain_sums", _suite_chain_sums),
+    ("one_step_expansions", _suite_corollary1),
+    ("structure", _suite_cancellation),
+    ("variable_count_stability", _suite_stability),
+    ("wu_formula", _suite_wu),
 )
+
+
+def _run_suite(name: str, checks) -> SuiteResult:
+    checked = 0
+    for failure in checks:
+        if failure is not None:
+            return SuiteResult(name, False, checked, failure)
+        checked += 1
+    return SuiteResult(name, True, checked)
 
 
 def verify_suite(max_weight: int) -> VerifyReport:
     if max_weight < 0:
         raise ValueError("max weight must be non-negative")
-    results = tuple(suite(max_weight) for suite in _SUITES)
+    results = tuple(_run_suite(name, suite(max_weight)) for name, suite in _SUITES)
     return VerifyReport(max_weight, results)

@@ -1,0 +1,56 @@
+"""The traced benchmark (``perfbench/probe.py``) reaches into the package by
+name: it reads memo counters through ``cache_info()`` and wraps functions
+and class-body methods with span recorders.  These tests resolve every name
+it lists, so a refactor that moves or unwraps one fails here instead of
+silently dropping a benchmark metric.  ``perfbench/`` is only read."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from invkostka import Partition, monomial_to_schur, steenrod_P, steenrod_Sq
+
+PROBE = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+
+
+def _load_probe():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+probe = _load_probe()
+SPAN_SITES = [
+    (span, tuple(site)) for span, sites in sorted(probe.SPAN_SITES.items()) for site in sites
+]
+
+
+def _module(name):
+    return importlib.import_module("invkostka." + name)
+
+
+@pytest.mark.parametrize("metric, site", sorted(probe.MEMO_SITES.items()))
+def test_memo_site_is_memoized(metric, site):
+    module, attr = site
+    info = getattr(_module(module), attr).cache_info()
+    assert info.currsize >= 0
+
+
+@pytest.mark.parametrize(
+    "span, site", SPAN_SITES, ids=[f"{span}:{'.'.join(site)}" for span, site in SPAN_SITES]
+)
+def test_span_site_resolves(span, site):
+    if len(site) == 3:
+        cls = getattr(_module(site[0]), site[1])
+        assert callable(cls.__dict__[site[2]])  # defined in the class body itself
+    else:
+        assert callable(getattr(_module(site[0]), site[1]))
+
+
+def test_row_results_keep_partition_coefficient_dicts():
+    for result in (monomial_to_schur(Partition([1, 2])), steenrod_P(1, 1, 3), steenrod_Sq(1, 2)):
+        assert type(result.coeffs) is dict
+        assert all(type(p) is Partition and type(c) is int for p, c in result.coeffs.items())

@@ -209,6 +209,11 @@ def test_one_step_expansion_identity_examples():
     assert res.equal and res.lhs == -2
 
 
+def test_one_step_expansion_of_the_empty_pair():
+    res = verify_corollary1(P(), P())
+    assert (res.lhs, res.rhs, res.equal) == (0, 0, True)
+
+
 def test_one_step_expansion_identity_sweep():
     for m in range(1, 7):
         parts = enumerate_partitions(m)

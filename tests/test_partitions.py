@@ -35,6 +35,12 @@ def test_rejects_nonpositive_parts():
         Partition([-2])
 
 
+def test_rejects_bool_parts():
+    for parts in ([True, 2], [False], [1, True]):
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition(parts)
+
+
 def test_parse_bracket_form_any_order():
     assert Partition.parse("[1,1,2]") == Partition([1, 1, 2])
     assert Partition.parse("[2, 1, 1]") == Partition([1, 1, 2])

@@ -19,7 +19,7 @@ from invkostka.steenrod import (
 )
 from invkostka.inverse import monomial_to_schur
 from invkostka.partitions import Partition
-from invkostka.symfunc import schur
+from invkostka.symfunc import SchurExpansion, schur
 
 P = Partition
 
@@ -107,6 +107,14 @@ def test_epolynomial_normalization():
     assert (p + p * -1) == EPolynomial()
 
 
+def test_epolynomial_get_normalizes_like_the_constructor():
+    p = EPolynomial({(0, 3): 2, (2, 1): 5})
+    assert p.get((0, 3)) == p.get((3,)) == p.get((3, 0, 0)) == 2
+    assert p.get((1, 2)) == p.get((2, 1)) == p.get((2, 0, 1)) == 5
+    assert p.get((3, -1)) == 0
+    assert EPolynomial({(0,): 4}).get(()) == EPolynomial({(0,): 4}).get((0, 0)) == 4
+
+
 def test_two_column_determinant_matches_schur():
     """e_k e_m - e_(k-1) e_(m+1) expands the two-column shape with k twos."""
     for m in range(1, 6):
@@ -156,3 +164,12 @@ def test_modp_expansion_container():
     assert not bool(ModPExpansion(2))
     with pytest.raises(ValueError):
         ModPExpansion(1)
+
+
+def test_modp_expansion_equality_tells_modulus_and_type_apart():
+    row = ModPExpansion(3, {P([1, 2]): 1})
+    assert row == ModPExpansion(3, {P([1, 2]): 4})
+    assert row != ModPExpansion(5, {P([1, 2]): 1})
+    assert row != SchurExpansion({P([1, 2]): 1})
+    assert SchurExpansion({P([1, 2]): 1}) != row
+    assert isinstance(row, SchurExpansion)
