@@ -13,12 +13,13 @@ What they take from the partition toolkit are small kernels: the vertical
 strip tables and the last-nonzero compare (duan), the ER reduction kernel
 (er, and the T chains), and the inversion count (brute).
 
-Each recurrence is a one-step expander that takes the sub-entry function
-as an argument: the memoized engine feeds it its own recursion, and the
-Corollary 1 check reuses both expanders with sub-entries from the strip
-engine.  On top of these sit the chain enumerations whose signed counts
-reproduce the same numbers, the signed-solution polynomial f, and labeled
-matrix builders for whole-weight tables.
+Each recurrence step is a generator of signed (lam', mu') moves: the
+memoized engine sums its own entries over them from its own frame, so a
+step adds no stack depth, and the Corollary 1 check sums strip-engine
+entries over the moves of both steps.  On top of these sit the chain
+enumerations whose signed counts reproduce the same numbers, the
+signed-solution polynomial f, and labeled matrix builders for
+whole-weight tables.
 """
 
 from __future__ import annotations
@@ -81,18 +82,21 @@ def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    return _duan_step(lam, mu, _duan_entry)
+    total = 0
+    for sign, reduced, omega in _duan_moves(lam, mu):
+        total += sign * _duan_entry(reduced, omega)
+    return total
 
 
-def _duan_step(lam: tuple[int, ...], mu: tuple[int, ...], sub) -> int:
-    """One strip-removal step: for each distinct part v of lam that is at
-    least the largest part of mu, drop one v from lam and, from the rest of
-    mu, a vertical strip of size v - max(mu), with sign (-1)^(size)."""
+def _duan_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
+    """One strip-removal step as (sign, lam', mu') moves: for each distinct
+    part v of lam that is at least the largest part of mu, drop one v from
+    lam and, from the rest of mu, a vertical strip of size v - max(mu), with
+    sign (-1)^(size)."""
     if not mu:
-        return 0  # nothing to peel
+        return  # nothing to peel
     mu_max = mu[-1]
     rest = mu[:-1]
-    total = 0
     for value in dict.fromkeys(lam):  # distinct part values, ascending
         strip = value - mu_max
         if strip < 0:
@@ -101,8 +105,7 @@ def _duan_step(lam: tuple[int, ...], mu: tuple[int, ...], sub) -> int:
         reduced = lam[:j] + lam[j + 1 :]
         sign = -1 if strip % 2 else 1
         for omega in _strip_predecessors_raw(rest, strip):
-            total += sign * sub(reduced, omega)
-    return total
+            yield sign, reduced, omega
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +123,23 @@ def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         return 1
     if not lam or not mu:
         return 0
-    return _er_step(lam, mu, _er_recurse)
-
-
-def _er_step(lam: tuple[int, ...], mu: tuple[int, ...], sub) -> int:
-    """One part-removal step: for each index i with mu_i + i - 1 a part of
-    lam, drop that part from lam and take the ER reduction of mu at i, with
-    sign (-1)^(i - 1)."""
-    distinct = set(lam)
     total = 0
+    for sign, reduced, omega in _er_moves(lam, mu):
+        total += sign * _er_recurse(reduced, omega)
+    return total
+
+
+def _er_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
+    """One part-removal step as (sign, lam', mu') moves: for each index i
+    with mu_i + i - 1 a part of lam, drop that part from lam and take the ER
+    reduction of mu at i, with sign (-1)^(i - 1)."""
+    distinct = set(lam)
     for i, part in enumerate(mu, 1):
         value = part + i - 1
         if value not in distinct:
             continue
         j = lam.index(value)
-        entry = sub(lam[:j] + lam[j + 1 :], _er_reduce(mu, i))
-        total += -entry if i % 2 == 0 else entry
-    return total
+        yield (-1 if i % 2 == 0 else 1), lam[:j] + lam[j + 1 :], _er_reduce(mu, i)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,6 @@ def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
     """Expand the entry one step along each recurrence, both fed with
     sub-entries from the strip engine, and compare the two sums."""
     check_same_weight(lam, mu)
-    lhs = _duan_step(lam.parts, mu.parts, _duan_entry)
-    rhs = _er_step(lam.parts, mu.parts, _duan_entry)
+    lhs = sum(s * _duan_entry(l, m) for s, l, m in _duan_moves(lam.parts, mu.parts))
+    rhs = sum(s * _duan_entry(l, m) for s, l, m in _er_moves(lam.parts, mu.parts))
     return Corollary1Check(lhs, rhs, lhs == rhs)

@@ -229,41 +229,51 @@ def er_reduction(mu: Partition, i: int) -> Partition:
 
 
 def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # tuple kernel of er_reduction, shared by the er engine and the T chains
-    return tuple(p - 1 for p in parts[: i - 1] if p > 1) + parts[i:]
+    # tuple kernel of er_reduction, shared by the er engine and the T chains;
+    # building a list first is faster than tuple() over a generator
+    return tuple([p - 1 for p in parts[: i - 1] if p > 1]) + parts[i:]
 
 
-def _strip_moves(parts: tuple[int, ...], r: int, step: int) -> tuple[tuple[int, ...], ...]:
-    # Aligned by padded position, a vertical r-strip moves r of the padded
-    # entries by `step` (-1 removes a strip, +1 adds one), no entry twice;
-    # choosing how many entries move per block of equal values hits each
-    # result exactly once.  Adding may also turn padding zeros into ones.
+@lru_cache(maxsize=None)
+def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    # Aligned by padded position, a removable vertical strip decrements a
+    # sub-multiset of parts by one each, no part twice; enumerating one
+    # decrement count per block of equal parts hits each result exactly once.
     blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    if step > 0:
-        blocks.insert(0, (0, r))
     found: set[tuple[int, ...]] = set()
 
     def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
         if idx == len(blocks):
             if left == 0:
-                found.add(tuple(sorted(p for p in acc if p)))
+                found.add(tuple(sorted(acc)))
             return
         value, mult = blocks[idx]
         for k in range(min(mult, left) + 1):
-            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + step,) * k)
+            ext = (value,) * (mult - k)
+            if value > 1:
+                ext += (value - 1,) * k
+            rec(idx + 1, left - k, acc + ext)
 
     rec(0, r, ())
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)
-def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    return _strip_moves(parts, r, -1)
-
-
-@lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    return _strip_moves(parts, r, 1)
+    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
+    found: set[tuple[int, ...]] = set()
+
+    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
+        if idx == len(blocks):
+            # anything not yet used becomes a new part equal to 1
+            found.add(tuple(sorted(acc + (1,) * left)))
+            return
+        value, mult = blocks[idx]
+        for k in range(min(mult, left) + 1):
+            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + 1,) * k)
+
+    rec(0, r, ())
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 def vertical_strip_predecessors(mu: Partition, r: int) -> list[Partition]:

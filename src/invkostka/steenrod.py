@@ -33,8 +33,8 @@ from .unipoly import _pretty_sum
 class ModPExpansion(SchurExpansion):
     """A Schur expansion with coefficients reduced to residues 0..p-1.
 
-    Sums and scalar multiples are inherited and give integer expansions
-    of the residues."""
+    It has no sums or scalar multiples: the integer ones it would inherit
+    would leave the residues unreduced."""
 
     __slots__ = ("p",)
 
@@ -47,6 +47,11 @@ class ModPExpansion(SchurExpansion):
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and self.p == other.p
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{part}: {c}" for part, c in self.items())

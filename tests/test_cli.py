@@ -228,6 +228,23 @@ def test_engine_disagreement_exits_3(capsys, monkeypatch):
     assert "er=999" in err
 
 
+def test_deep_recursions_answer_without_traceback(capsys):
+    # these depths fit the default recursion limit only if a recurrence
+    # step adds no stack frame of its own per level
+    from invkostka import inverse
+
+    inverse._er_recurse.cache_clear()
+    inverse._duan_recurse.cache_clear()
+    code, out, err = invoke(
+        capsys, "entry", "--lambda", "1^400", "--mu", "1^400", "--engine", "er"
+    )
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, err = invoke(
+        capsys, "entry", "--lambda", "1^300,2", "--mu", "1^302", "--engine", "duan"
+    )
+    assert (code, out, err) == (0, "-301\n", "")
+
+
 def test_outputs_are_deterministic(capsys):
     runs = []
     for _ in range(2):

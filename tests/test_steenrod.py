@@ -173,3 +173,16 @@ def test_modp_expansion_equality_tells_modulus_and_type_apart():
     assert row != SchurExpansion({P([1, 2]): 1})
     assert SchurExpansion({P([1, 2]): 1}) != row
     assert isinstance(row, SchurExpansion)
+
+
+def test_modp_expansion_has_no_integer_arithmetic():
+    # Sq^1(w_2) + Sq^1(w_2) is 0 mod 2; an integer sum would give 2
+    row = steenrod_Sq(1, 2)
+    with pytest.raises(TypeError):
+        row + row
+    with pytest.raises(TypeError):
+        row + SchurExpansion({P([1, 2]): 1})
+    with pytest.raises(TypeError):
+        2 * row
+    with pytest.raises(TypeError):
+        row * 2
