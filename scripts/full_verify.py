@@ -1,4 +1,5 @@
-"""Run every cross-validation suite and print the report with the total time.
+"""Run every cross-validation suite and print the report, each suite line
+with that suite's time, then the total time.
 
 Usage: python scripts/full_verify.py [--max-weight W]
 
@@ -20,8 +21,10 @@ def main() -> int:
     t0 = time.perf_counter()
     report = verify_suite(max_weight)
     elapsed = time.perf_counter() - t0
-    for line in report.summary_lines():
-        print(line)
+    lines = report.summary_lines()
+    for suite, line in zip(report.suites, lines):
+        print(f"{line} [{suite.elapsed:.2f}s]")
+    print(lines[-1])
     print(f"elapsed: {elapsed:.2f}s")
     return 0 if report.ok else 3
 

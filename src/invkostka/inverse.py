@@ -34,7 +34,6 @@ from .partitions import (
     _last_nonzero_cmp,
     _strip_predecessors_raw,
     check_same_weight,
-    distinct_permutations,
     enumerate_partitions,
 )
 from .symfunc import SchurExpansion, kostka_number
@@ -167,10 +166,15 @@ class SolutionPair:
 
 def _brute_solutions(lam: Partition, mu: Partition, n: int | None):
     """Yield (w, staircase permutation, inversion count) for every solution
-    in n variables (default: the larger length, at least one).
+    in n variables (default: the larger length, at least one), with w in
+    lexicographic order.
 
-    The staircase has distinct entries, so the permutation is recoverable
-    from the difference vector alone.
+    The search assigns w position by position from the remaining multiset
+    of the padded lambda, values ascending, and cuts a branch as soon as the
+    staircase offset d = target - x at that position is negative (larger
+    values only shrink it), is at least n, or is already taken.  The
+    staircase has distinct entries, so the offsets are the permutation.
+    An explicit stack keeps the depth off the Python call stack.
     """
     check_same_weight(lam, mu)
     if n is None:
@@ -178,18 +182,40 @@ def _brute_solutions(lam: Partition, mu: Partition, n: int | None):
     if n < max(lam.length, mu.length) or n < 1:
         raise ValueError(f"n={n} is too small for {lam} and {mu}")
     target = tuple(m + d for m, d in zip(mu.padded(n), range(n)))
-    for w in distinct_permutations(lam.padded(n)):
-        seen = bytearray(n)
-        ok = True
-        for t, x in zip(target, w):
-            d = t - x
-            if 0 <= d < n and not seen[d]:
-                seen[d] = 1
-            else:
-                ok = False
+    padded = lam.padded(n)
+    values = sorted(set(padded))
+    counts = [padded.count(v) for v in values]
+    k = len(values)
+    taken = bytearray(n)
+    chosen = [-1] * n  # index into values placed at each position, or -1
+    pos = 0
+    while pos >= 0:
+        t = target[pos]
+        j = chosen[pos]
+        if j >= 0:  # take back the value placed here, try the next one
+            counts[j] += 1
+            taken[t - values[j]] = 0
+        j += 1
+        while j < k:
+            d = t - values[j]
+            if d < 0:
+                j = k
+            elif d < n and counts[j] and not taken[d]:
                 break
-        if ok:
-            diff = tuple(t - x for t, x in zip(target, w))
+            else:
+                j += 1
+        if j == k:
+            chosen[pos] = -1
+            pos -= 1
+            continue
+        chosen[pos] = j
+        counts[j] -= 1
+        taken[d] = 1
+        if pos + 1 < n:
+            pos += 1
+        else:
+            w = tuple(values[c] for c in chosen)
+            diff = tuple(x - y for x, y in zip(target, w))
             yield w, diff, _inversions(diff)
 
 

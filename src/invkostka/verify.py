@@ -4,13 +4,15 @@ Every number this package produces can be computed at least two ways.  The
 suites here sweep all partition pairs up to a weight cap and check that the
 routes agree:
 
-* both recurrence engines against a rational matrix inverse of the tableau
-  counts, and against the brute-force signed enumeration,
+* both recurrence engines against an integer back-substitution inverse of
+  the (unitriangular) tableau-count matrix, and against the brute-force
+  signed enumeration,
 * the product of the Kostka matrix with the computed inverse,
 * signed chain counts for both chain families,
 * the one-step expansion identity connecting the two recurrences,
 * structural zeros, diagonal ones, and invariance under dropping common
-  top parts,
+  top parts (the reduced pair goes to the part-removal engine, which does
+  no such reduction itself),
 * independence of the brute force from the number of variables,
 * the Wu formula against the direct mod-2 row.
 
@@ -20,8 +22,8 @@ subcommand and the acceptance tests are thin wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import time
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .inverse import (
@@ -47,6 +49,7 @@ class SuiteResult:
     passed: bool
     checked: int
     detail: str = ""
+    elapsed: float = field(default=0.0, compare=False)  # seconds; not printed
 
 
 @dataclass(frozen=True)
@@ -74,35 +77,37 @@ class VerifyReport:
 
 
 def exact_integer_inverse(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Invert an integer matrix by rational Gauss-Jordan elimination.
+    """Invert an upper unitriangular integer matrix by back-substitution.
 
-    Raises ValueError if the matrix is singular or the inverse is not
-    integral.  Used as an engine-independent oracle: it never touches the
-    recurrences.
+    In canonical order the Kostka matrix has this shape: dominance implies
+    at most as many parts, and for equal length a lex-smaller part tuple.
+    Raises ValueError on a non-zero entry below the diagonal, on a zero
+    pivot (singular), and on a pivot other than +-1 (inverse not integral).
+    Used as an engine-independent oracle: it never touches the recurrences.
     """
     n = len(entries)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(entries)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
+    for i, row in enumerate(entries):
+        if any(row[:i]):
+            raise ValueError("matrix is not upper triangular")
+        if not row[i]:
             raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
+        if row[i] not in (1, -1):
             raise ValueError("inverse is not integral")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
+    # row i of the inverse, from the rows below it:
+    # inv[i] = (e_i - sum_{k > i} a[i][k] * inv[k]) / a[i][i]
+    inv: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = entries[i]
+        acc = [0] * n
+        acc[i] = 1
+        for k in range(i + 1, n):
+            a = row[k]
+            if a:
+                for j, v in enumerate(inv[k][k:], k):
+                    acc[j] -= a * v
+        pivot = row[i]  # +-1 is its own inverse
+        inv[i] = acc if pivot == 1 else [-v for v in acc]
+    return tuple(tuple(r) for r in inv)
 
 
 # Each suite is a generator that yields once per check: None when the check
@@ -120,7 +125,7 @@ def _pairs(weights):
 def _suite_engine_agreement(max_weight: int):
     oracles = {}
     for m, lam, mu in _pairs(range(0, max_weight + 1)):
-        if m not in oracles:  # Gauss-Jordan inverse, its entries in pair order
+        if m not in oracles:  # back-substitution inverse, its entries in pair order
             oracles[m] = chain.from_iterable(exact_integer_inverse(kostka_matrix(m).entries))
         want = next(oracles[m])
         a = inv_kostka_duan(lam, mu)
@@ -163,8 +168,8 @@ def _suite_cancellation(max_weight: int):
             yield None if entry == 1 else f"diagonal entry != 1 at {lam}"
         if cancellation_zero(lam, mu):
             yield None if entry == 0 else f"structural zero violated at ({lam}, {mu})"
-        rl, rm = tail_reduction(lam, mu)
-        if inv_kostka_duan(rl, rm) != entry:
+        rl, rm = tail_reduction(lam, mu)  # er does no tail reduction of its own
+        if inv_kostka_er(rl, rm) != entry:
             yield f"top-part reduction changed the entry at ({lam}, {mu})"
         yield None
 
@@ -198,12 +203,13 @@ _SUITES = (
 
 
 def _run_suite(name: str, checks) -> SuiteResult:
+    start = time.perf_counter()
     checked = 0
     for failure in checks:
         if failure is not None:
-            return SuiteResult(name, False, checked, failure)
+            return SuiteResult(name, False, checked, failure, time.perf_counter() - start)
         checked += 1
-    return SuiteResult(name, True, checked)
+    return SuiteResult(name, True, checked, elapsed=time.perf_counter() - start)
 
 
 def verify_suite(max_weight: int) -> VerifyReport:

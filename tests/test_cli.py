@@ -245,6 +245,13 @@ def test_deep_recursions_answer_without_traceback(capsys):
     assert (code, out, err) == (0, "-301\n", "")
 
 
+def test_deep_brute_force_answers_without_traceback(capsys):
+    code, out, err = invoke(
+        capsys, "entry", "--lambda", "1^1200", "--mu", "1^1200", "--engine", "brute"
+    )
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_outputs_are_deterministic(capsys):
     runs = []
     for _ in range(2):

@@ -18,7 +18,12 @@ from invkostka.inverse import (
     tail_reduction,
     verify_corollary1,
 )
-from invkostka.partitions import Partition, WeightMismatchError, enumerate_partitions
+from invkostka.partitions import (
+    Partition,
+    WeightMismatchError,
+    distinct_permutations,
+    enumerate_partitions,
+)
 from invkostka.symfunc import SchurExpansion
 from invkostka.unipoly import UniPolynomial
 
@@ -115,6 +120,39 @@ def test_solution_pairs_structure():
         target = tuple(m + d for m, d in zip(P([1, 1, 1]).padded(3), range(3)))
         assert tuple(w + s - 1 for w, s in zip(sp.w, sp.sigma)) == target
     assert sum(sp.sign for sp in pairs) == -2
+
+
+def _reference_solutions(lam, mu, n):
+    """Filter every distinct rearrangement w of the padded lambda, keeping it
+    when target - w is a rearrangement of the staircase 0..n-1."""
+    target = [m + d for d, m in enumerate(mu.padded(n))]
+    out = []
+    for w in distinct_permutations(lam.padded(n)):
+        diff = [t - x for t, x in zip(target, w)]
+        if sorted(diff) == list(range(n)):
+            length = sum(a > b for i, a in enumerate(diff) for b in diff[i + 1 :])
+            out.append((w, tuple(d + 1 for d in diff), (-1) ** length, length))
+    return out
+
+
+def test_solution_pairs_match_a_permutation_filter_in_order():
+    for m in range(0, 9):
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            for mu in parts:
+                for n in range(max(1, lam.length, mu.length), m + 2):
+                    got = [(p.w, p.sigma, p.sign, p.length) for p in solution_pairs(lam, mu, n)]
+                    assert got == _reference_solutions(lam, mu, n), (lam, mu, n)
+
+
+def test_bruteforce_fourteen_variables():
+    assert inv_kostka_bruteforce(P(range(1, 8)), P([1] * 7 + [3] * 7)) == 48
+
+
+def test_bruteforce_has_no_recursion_depth_limit():
+    lam = P([1] * 1200)
+    assert inv_kostka_bruteforce(lam, lam) == 1
+    assert solution_pairs(lam, lam)[0].length == 0
 
 
 def test_f_polynomial_examples():

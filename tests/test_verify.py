@@ -1,8 +1,14 @@
-"""Cross-validation report: check counts and counterexample reporting."""
+"""Cross-validation report: check counts, counterexample reporting, timing,
+and the back-substitution oracle."""
+
+from fractions import Fraction
+
+import pytest
 
 import invkostka.verify as verify
+from invkostka.inverse import kostka_matrix
 from invkostka.partitions import Partition
-from invkostka.verify import verify_suite
+from invkostka.verify import SuiteResult, exact_integer_inverse, verify_suite
 
 
 def test_every_suite_passes_and_counts_its_checks():
@@ -26,8 +32,63 @@ def test_a_broken_engine_is_reported_with_its_counterexample(monkeypatch):
     first = report.suites[0]
     assert (first.name, first.passed, first.checked) == ("engine_agreement", False, 0)
     assert first.detail == f"duan=1 er=7 at ({Partition()}, {Partition()})"
-    assert all(s.passed for s in report.suites[1:])
+    # the structure suite sends the tail-reduced pair to er as well
+    assert [s.name for s in report.suites if not s.passed] == ["engine_agreement", "structure"]
+    structure = report.suites[4]
+    assert (structure.checked, structure.detail) == (
+        1,
+        "top-part reduction changed the entry at ([], [])",
+    )
     assert report.summary_lines()[0] == (
         "engine_agreement: FAIL (0 checks) -- duan=1 er=7 at ([], [])"
     )
     assert report.summary_lines()[-1] == "verify: FAILURES (max weight 2)"
+
+
+def test_suites_are_timed_without_changing_the_report():
+    report = verify_suite(3)
+    assert all(s.elapsed > 0 for s in report.suites)
+    assert SuiteResult("x", True, 1, elapsed=1.0) == SuiteResult("x", True, 1, elapsed=2.0)
+    assert report.summary_lines()[0] == "engine_agreement: ok (15 checks)"
+
+
+def _gauss_jordan_inverse(entries):
+    n = len(entries)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(entries)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(int(v) for v in row[n:]) for row in aug)
+
+
+def test_oracle_matches_gauss_jordan_on_kostka_matrices():
+    for m in range(0, 11):
+        entries = kostka_matrix(m).entries
+        assert exact_integer_inverse(entries) == _gauss_jordan_inverse(entries), m
+
+
+def test_oracle_inverts_a_negative_pivot():
+    entries = ((1, 2, 3), (0, -1, 4), (0, 0, 1))
+    assert exact_integer_inverse(entries) == _gauss_jordan_inverse(entries)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (((1, 0), (1, 1)), "not upper triangular"),
+        (((1, 2, 3), (0, 1, 0), (0, 5, 1)), "not upper triangular"),
+        (((1, 2), (0, 0)), "singular"),
+        (((1, 2, 3), (0, 2, 1), (0, 0, 1)), "not integral"),
+    ],
+)
+def test_oracle_rejects_what_it_cannot_invert(entries, message):
+    with pytest.raises(ValueError, match=message):
+        exact_integer_inverse(entries)
