@@ -149,12 +149,6 @@ def test_bruteforce_fourteen_variables():
     assert inv_kostka_bruteforce(P(range(1, 8)), P([1] * 7 + [3] * 7)) == 48
 
 
-def test_bruteforce_has_no_recursion_depth_limit():
-    lam = P([1] * 1200)
-    assert inv_kostka_bruteforce(lam, lam) == 1
-    assert solution_pairs(lam, lam)[0].length == 0
-
-
 def test_f_polynomial_examples():
     f = f_polynomial(P([1, 2]), P([1, 1, 1]))
     assert f == UniPolynomial([0, -2])
