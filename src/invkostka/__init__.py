@@ -79,65 +79,9 @@ from .verify import VerifyReport, exact_integer_inverse, verify_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainS",
-    "ChainT",
-    "EPolynomial",
-    "FormulaDomainError",
-    "ModPExpansion",
-    "Partition",
-    "PartitionParseError",
-    "SchurExpansion",
-    "SolutionPair",
-    "SparsePolynomial",
-    "UniPolynomial",
-    "VerifyReport",
-    "WeightMismatchError",
-    "alternant",
-    "cancellation_zero",
-    "corollary3",
-    "corollary4",
-    "corollary5",
-    "elementary_symmetric",
-    "eliminate_last",
-    "enumerate_chains_S",
-    "enumerate_chains_T",
-    "enumerate_partitions",
-    "epoly_to_polynomial",
-    "epoly_to_schur",
-    "er_reduction",
-    "exact_integer_inverse",
-    "expansion_mod",
-    "expansion_to_polynomial",
-    "f_polynomial",
-    "g_polynomial",
-    "giambelli_hook2",
-    "h_coefficient_check",
-    "h_polynomial",
-    "h_polynomial_matrix",
-    "integral_wu_lift",
-    "inv_kostka_bruteforce",
-    "inv_kostka_duan",
-    "inv_kostka_er",
-    "inverse_kostka_matrix",
-    "kostka_matrix",
-    "kostka_number",
-    "last_nonzero_compare",
-    "lemma5",
-    "lemma6",
-    "monomial_symmetric",
-    "monomial_to_schur",
-    "pieri_multiply",
-    "remove_part",
-    "schur",
-    "solution_pairs",
-    "staircase",
-    "steenrod_P",
-    "steenrod_Sq",
-    "tail_reduction",
-    "verify_corollary1",
-    "verify_suite",
-    "vertical_strip_predecessors",
-    "vertical_strip_successors",
-    "wu_rhs",
-]
+# every public name imported above from the package's own modules
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and getattr(obj, "__module__", "").startswith("invkostka")
+)

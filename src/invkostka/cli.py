@@ -3,12 +3,15 @@
 Every subcommand parses its inputs, calls the library, and renders the
 result in one of three formats.  Exit codes: 0 on success, 1 on a usage
 error (bad flags, unparseable partition literal), 2 on a computation
-domain error (weight mismatch, formula outside its validity range), 3 when
-a verification fails (self-check suites, or engine disagreement under
-``entry --engine all``).
+domain error (weight mismatch, formula outside its validity range, input
+too deep for the recursion limit), 3 when a verification fails (self-check
+suites, or engine disagreement under ``entry --engine all``).
 
-Output is deterministic: same arguments, same bytes.  JSON renders all
-potentially large integers as decimal strings.
+Output is deterministic: same arguments, same bytes.  JSON output is
+``{"query": ..., "result": ...}``, where ``query`` echoes the parsed
+options in the order they are defined (``--lambda`` as ``"lambda"``,
+partitions as lists of parts).  JSON renders all potentially large
+integers in the result as decimal strings.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ def _partition_args(p: argparse.ArgumentParser, *names: str) -> None:
 
 @dataclass
 class CommandOutput:
-    query: dict
     result: object
     plain: list[str]
     csv_rows: list[list[str]] = field(default_factory=list)
@@ -73,17 +75,17 @@ def _parts_json(p: Partition) -> list[int]:
     return list(p.parts)
 
 
-def _poly_output(query: dict, poly) -> CommandOutput:
+def _poly_output(poly) -> CommandOutput:
     coeffs = [str(c) for c in poly.coeffs]
     rows = [["power", "coeff"]] + [[str(i), c] for i, c in enumerate(coeffs)]
-    return CommandOutput(query, {"coeffs": coeffs}, [poly.pretty()], rows)
+    return CommandOutput({"coeffs": coeffs}, [poly.pretty()], rows)
 
 
-def _expansion_output(query: dict, items) -> CommandOutput:
+def _expansion_output(items) -> CommandOutput:
     result = [{"partition": _parts_json(p), "coeff": str(c)} for p, c in items]
     plain = [f"{p} {c}" for p, c in items]
     rows = [["partition", "coeff"]] + [[str(p), str(c)] for p, c in items]
-    return CommandOutput(query, result, plain, rows)
+    return CommandOutput(result, plain, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -92,44 +94,29 @@ def _expansion_output(query: dict, items) -> CommandOutput:
 
 def _cmd_entry(ns) -> CommandOutput:
     lam, mu = ns.lam, ns.mu
-    query = {
-        "subcommand": "entry",
-        "lambda": _parts_json(lam),
-        "mu": _parts_json(mu),
-        "engine": ns.engine,
-    }
+    # looked up on each call, so that a rebound module global takes effect
+    engines = {"duan": inv_kostka_duan, "er": inv_kostka_er, "brute": inv_kostka_bruteforce}
     if ns.engine == "all":
-        values = {
-            "duan": inv_kostka_duan(lam, mu),
-            "er": inv_kostka_er(lam, mu),
-        }
-        if max(1, lam.length, mu.length) <= _BRUTE_MAX_N:
-            values["brute"] = inv_kostka_bruteforce(lam, mu)
+        if max(1, lam.length, mu.length) > _BRUTE_MAX_N:
+            del engines["brute"]
+        values = {name: engine(lam, mu) for name, engine in engines.items()}
         if len(set(values.values())) != 1:
             detail = ", ".join(f"{k}={v}" for k, v in values.items())
             print(f"engine disagreement: {detail}", file=sys.stderr)
-            return CommandOutput(query, None, [], exit_code=3)
+            return CommandOutput(None, [], exit_code=3)
         value = values["duan"]
-    elif ns.engine == "er":
-        value = inv_kostka_er(lam, mu)
-    elif ns.engine == "brute":
-        value = inv_kostka_bruteforce(lam, mu)
     else:
-        value = inv_kostka_duan(lam, mu)
+        value = engines[ns.engine](lam, mu)
     rows = [["lambda", "mu", "engine", "value"], [str(lam), str(mu), ns.engine, str(value)]]
-    return CommandOutput(query, str(value), [str(value)], rows)
+    return CommandOutput(str(value), [str(value)], rows)
 
 
 def _cmd_row(ns) -> CommandOutput:
-    query = {"subcommand": "row", "lambda": _parts_json(ns.lam)}
-    return _expansion_output(query, monomial_to_schur(ns.lam).items())
+    return _expansion_output(monomial_to_schur(ns.lam).items())
 
 
 def _cmd_matrix(ns) -> CommandOutput:
-    if ns.weight < 0:
-        raise ValueError("weight must be non-negative")
     mat = inverse_kostka_matrix(ns.weight) if ns.inverse else kostka_matrix(ns.weight)
-    query = {"subcommand": "matrix", "weight": ns.weight, "inverse": ns.inverse}
     labels = [str(p) for p in mat.labels]
     result = {
         "labels": [_parts_json(p) for p in mat.labels],
@@ -143,7 +130,7 @@ def _cmd_matrix(ns) -> CommandOutput:
     rows = [[""] + labels] + [
         [label] + [str(v) for v in row] for label, row in zip(labels, mat.entries)
     ]
-    return CommandOutput(query, result, plain, rows)
+    return CommandOutput(result, plain, rows)
 
 
 def _cmd_chains(ns) -> CommandOutput:
@@ -154,12 +141,6 @@ def _cmd_chains(ns) -> CommandOutput:
     else:
         chains = enumerate_chains_T(lam, mu)
         values = [c.a_values for c in chains]
-    query = {
-        "subcommand": "chains",
-        "lambda": _parts_json(lam),
-        "mu": _parts_json(mu),
-        "family": ns.family,
-    }
     total = sum(c.sign for c in chains)
     result = {
         "chains": [
@@ -184,49 +165,39 @@ def _cmd_chains(ns) -> CommandOutput:
     for idx, (c, vals) in enumerate(zip(chains, values)):
         steps = ";".join(f"{p}:{j}" for p, j in c.steps)
         rows.append([str(idx), str(c.sign), " ".join(map(str, vals)), steps])
-    return CommandOutput(query, result, plain, rows)
+    return CommandOutput(result, plain, rows)
 
 
 def _cmd_fpoly(ns) -> CommandOutput:
-    query = {
-        "subcommand": "fpoly",
-        "lambda": _parts_json(ns.lam),
-        "mu": _parts_json(ns.mu),
-        "n": ns.n,
-    }
-    poly = f_polynomial(ns.lam, ns.mu, ns.n)
-    return _poly_output(query, poly)
+    return _poly_output(f_polynomial(ns.lam, ns.mu, ns.n))
 
 
 def _cmd_hpoly(ns) -> CommandOutput:
-    query = {"subcommand": "hpoly", "b": ns.b, "mod": ns.mod}
     poly = h_polynomial(ns.b)
     if ns.mod is not None:
         poly = poly.reduce_mod(ns.mod)
-    return _poly_output(query, poly)
+    return _poly_output(poly)
 
 
 def _cmd_gpoly(ns) -> CommandOutput:
-    query = {"subcommand": "gpoly", "k": ns.k, "l": ns.l}
-    return _poly_output(query, g_polynomial(ns.k, ns.l))
+    return _poly_output(g_polynomial(ns.k, ns.l))
 
 
 def _cmd_steenrod(ns) -> CommandOutput:
     if ns.op == "Sq":
         if ns.p not in (None, 2):
             raise UsageError("--p is fixed to 2 for --op Sq")
+        ns.p = 2
         expansion = steenrod_Sq(ns.k, ns.m)
-        p = 2
     else:
-        p = 3 if ns.p is None else ns.p
-        expansion = steenrod_P(ns.k, ns.m, p)
-    query = {"subcommand": "steenrod", "op": ns.op, "k": ns.k, "m": ns.m, "p": p}
-    return _expansion_output(query, expansion.items())
+        if ns.p is None:
+            ns.p = 3
+        expansion = steenrod_P(ns.k, ns.m, ns.p)
+    return _expansion_output(expansion.items())
 
 
 def _cmd_verify(ns) -> CommandOutput:
     report = verify_suite(ns.max_weight)
-    query = {"subcommand": "verify", "max_weight": ns.max_weight}
     result = {
         "max_weight": report.max_weight,
         "ok": report.ok,
@@ -238,9 +209,7 @@ def _cmd_verify(ns) -> CommandOutput:
     rows = [["suite", "passed", "checked", "detail"]] + [
         [s.name, str(s.passed).lower(), str(s.checked), s.detail] for s in report.suites
     ]
-    return CommandOutput(
-        query, result, report.summary_lines(), rows, exit_code=0 if report.ok else 3
-    )
+    return CommandOutput(result, report.summary_lines(), rows, exit_code=0 if report.ok else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +292,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _render(out: CommandOutput, fmt: str) -> None:
+def _query(ns) -> dict:
+    """The parsed options, in definition order, as JSON values."""
+    return {
+        "lambda" if key == "lam" else key: _parts_json(v) if isinstance(v, Partition) else v
+        for key, v in vars(ns).items()
+        if key not in ("format", "handler")
+    }
+
+
+def _render(out: CommandOutput, ns) -> None:
     if out.result is None and out.exit_code:
         return
-    if fmt == "json":
-        print(json.dumps({"query": out.query, "result": out.result}, indent=2))
-    elif fmt == "csv":
+    if ns.format == "json":
+        print(json.dumps({"query": _query(ns), "result": out.result}, indent=2))
+    elif ns.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(out.csv_rows)
         sys.stdout.write(buf.getvalue())
@@ -347,7 +325,10 @@ def run(argv: list[str]) -> int:
     except ValueError as e:  # weight mismatches and formula domain errors too
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _render(out, ns.format)
+    except RecursionError:
+        print("error: input too deep for the recursion limit", file=sys.stderr)
+        return 2
+    _render(out, ns)
     return out.exit_code
 
 

@@ -98,11 +98,6 @@ class Partition:
         return len(self.parts)
 
     @property
-    def largest(self) -> int:
-        """The largest part, or 0 for the empty partition."""
-        return self.parts[-1] if self.parts else 0
-
-    @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical enumeration key: graded by length, then lexicographic."""
         return (len(self.parts), self.parts)
@@ -112,10 +107,6 @@ class Partition:
         if n < len(self.parts):
             raise ValueError(f"cannot pad {self} to length {n}")
         return (0,) * (n - len(self.parts)) + self.parts
-
-    def drop_largest(self) -> "Partition":
-        """The partition with one copy of its largest part removed."""
-        return Partition._from_sorted(self.parts[:-1]) if self.parts else self
 
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
         """Pairs (value, multiplicity) with values strictly increasing."""

@@ -22,8 +22,7 @@ from .partitions import Partition
 from .symfunc import (
     SchurExpansion,
     SparsePolynomial,
-    _combine,
-    _scale,
+    _Combination,
     elementary_symmetric,
     pieri_multiply,
 )
@@ -104,71 +103,31 @@ def steenrod_Sq(k: int, m: int) -> ModPExpansion:
 # integer combinations of products of elementary symmetric functions
 
 
-class EPolynomial:
-    """Integer combination of products e_(i1) e_(i2) ... , with i1 <= i2 <= ...
-
-    Keys are sorted index tuples.  A factor e_0 is the unit and is dropped
-    from the key; a factor with negative index makes the whole term zero.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms or ()
-        self.terms = _combine((_e_key(indices), c) for indices, c in items)
-        self.terms.pop(None, None)  # terms with a negative index
-
-    @classmethod
-    def _unsafe(cls, terms: dict[tuple[int, ...], int]) -> "EPolynomial":
-        # internal callers pass a dict that is already clean
-        res = object.__new__(cls)
-        res.terms = terms
-        return res
-
-    def get(self, indices: tuple[int, ...]) -> int:
-        return self.terms.get(_e_key(indices), 0)
-
-    def items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "EPolynomial") -> "EPolynomial":
-        if not isinstance(other, EPolynomial):
-            return NotImplemented
-        return EPolynomial._unsafe(_combine(other.terms.items(), dict(self.terms)))
-
-    def __mul__(self, scalar: int) -> "EPolynomial":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return EPolynomial._unsafe(_scale(self.terms, scalar))
-
-    __rmul__ = __mul__
-
-    def reduce_mod(self, p: int) -> "EPolynomial":
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
-        return EPolynomial._unsafe({k: c % p for k, c in self.terms.items() if c % p})
-
-    def pretty(self) -> str:
-        return _pretty_sum(("*".join(f"e{i}" for i in key), c) for key, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"EPolynomial({self.pretty()})"
-
-
 def _e_key(indices) -> tuple[int, ...] | None:
     # A product of e_i is keyed by its sorted nonzero indices (e_0 is the
     # unit); None marks a product with a negative index, which is zero.
     if any(i < 0 for i in indices):
         return None
     return tuple(sorted(i for i in indices if i > 0))
+
+
+class EPolynomial(_Combination):
+    """Integer combination of products e_(i1) e_(i2) ... , with i1 <= i2 <= ...
+
+    Keys are sorted index tuples.  A factor e_0 is the unit and is dropped
+    from the key; a factor with negative index makes the whole term zero.
+    """
+
+    __slots__ = ()
+
+    _key = staticmethod(_e_key)
+    _sort_key = None
+
+    def pretty(self) -> str:
+        return _pretty_sum(("*".join(f"e{i}" for i in key), c) for key, c in self.items())
+
+    def __repr__(self) -> str:
+        return f"EPolynomial({self.pretty()})"
 
 
 def giambelli_hook2(m: int, k: int) -> EPolynomial:

@@ -251,32 +251,35 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     return _kostka_raw(tuple(reversed(lam.parts)), mu.parts)
 
 
-class SchurExpansion:
-    """Finitely supported integer combination of Schur functions."""
+class _Combination:
+    """Finitely supported integer combination, held as a clean
+    ``{key: coeff}`` dict with no zero coefficients.
+
+    A subclass supplies ``_key``, which normalises a key given to the
+    constructor or to ``get`` (``None`` marks a term that is zero), and
+    ``_sort_key``, the order of ``items`` (``None``: the keys' own order).
+    Sums and equality need the same type on both sides."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        self.coeffs = _combine(
-            (p if isinstance(p, Partition) else Partition(p), c) for p, c in items
-        )
+        key = self._key
+        self.coeffs = _combine((key(k), c) for k, c in items)
+        self.coeffs.pop(None, None)
 
     @classmethod
-    def _unsafe(cls, coeffs: dict[Partition, int]) -> "SchurExpansion":
+    def _unsafe(cls, coeffs: dict):
         # internal callers pass a dict that is already clean
-        exp = object.__new__(cls)
-        exp.coeffs = coeffs
-        return exp
+        obj = object.__new__(cls)
+        obj.coeffs = coeffs
+        return obj
 
-    def get(self, mu: Partition) -> int:
-        return self.coeffs.get(mu, 0)
+    def get(self, key) -> int:
+        return self.coeffs.get(self._key(key), 0)
 
-    def items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
-
-    def support(self) -> list[Partition]:
-        return [p for p, _ in self.items()]
+    def items(self) -> list:
+        return sorted(self.coeffs.items(), key=self._sort_key)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -284,15 +287,34 @@ class SchurExpansion:
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        return SchurExpansion._unsafe(_combine(other.coeffs.items(), dict(self.coeffs)))
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._unsafe(_combine(other.coeffs.items(), dict(self.coeffs)))
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return SchurExpansion._unsafe(_scale(self.coeffs, scalar))
+        return self._unsafe(_scale(self.coeffs, scalar))
 
     __rmul__ = __mul__
+
+
+class SchurExpansion(_Combination):
+    """Finitely supported integer combination of Schur functions."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(p) -> Partition:
+        return p if isinstance(p, Partition) else Partition(p)
+
+    @staticmethod
+    def _sort_key(item: tuple[Partition, int]) -> tuple:
+        return item[0].sort_key
+
+    def support(self) -> list[Partition]:
+        return [p for p, _ in self.items()]
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}: {c}" for p, c in self.items())

@@ -100,10 +100,10 @@ class UniPolynomial:
             raise ValueError("modulus must be at least 2")
         return UniPolynomial(c % p for c in self.coeffs)
 
-    def pretty(self, var: str = "t") -> str:
-        """Human-readable form like ``1 - 165*t^3 + 924*t^6``."""
+    def pretty(self) -> str:
+        """Human-readable form in t, like ``1 - 165*t^3 + 924*t^6``."""
         return _pretty_sum(
-            ("" if k == 0 else var if k == 1 else f"{var}^{k}", c)
+            ("" if k == 0 else "t" if k == 1 else f"t^{k}", c)
             for k, c in enumerate(self.coeffs)
         )
 

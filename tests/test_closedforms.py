@@ -175,7 +175,7 @@ def test_h_coefficients_match_engine():
     for b in range(0, 6):
         assert h_coefficient_check(b)
     with pytest.raises(ValueError):
-        h_coefficient_check(6)  # default bound caps the sweep at weight 10
+        h_coefficient_check(6)  # the bound caps the sweep at weight 10
 
 
 def test_h_matrix_form_agrees_with_recurrence():

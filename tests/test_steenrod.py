@@ -113,6 +113,18 @@ def test_epolynomial_get_normalizes_like_the_constructor():
     assert p.get((1, 2)) == p.get((2, 1)) == p.get((2, 0, 1)) == 5
     assert p.get((3, -1)) == 0
     assert EPolynomial({(0,): 4}).get(()) == EPolynomial({(0,): 4}).get((0, 0)) == 4
+    assert p.get((0, -2, 3)) == p.get((-1,)) == 0
+
+
+def test_epolynomial_and_schur_expansion_do_not_mix():
+    ep = EPolynomial({(1,): 1})
+    ex = SchurExpansion({P([1]): 1})
+    with pytest.raises(TypeError):
+        ep + ex
+    with pytest.raises(TypeError):
+        ex + ep
+    assert ep != ex and ex != ep
+    assert epoly_to_schur(ep) == ex
 
 
 def test_two_column_determinant_matches_schur():

@@ -200,6 +200,20 @@ def test_schur_expansion_container():
     assert e.get(P([1, 1])) == 0
 
 
+def test_schur_expansion_casts_keys_and_refuses_foreign_sums():
+    e = SchurExpansion({(2,): 1, P([1, 1]): -1})
+    assert e.coeffs == {P([2]): 1, P([1, 1]): -1}
+    assert e.get([1, 1]) == e.get(P([1, 1])) == -1
+    assert e.items() == [(P([2]), 1), (P([1, 1]), -1)]
+    with pytest.raises(TypeError):
+        e + 3
+    with pytest.raises(TypeError):
+        3 + e
+    with pytest.raises(TypeError):
+        e * 1.5
+    assert e != {P([2]): 1, P([1, 1]): -1}
+
+
 def test_pieri_multiply_column_example():
     start = SchurExpansion({P([2]): 1})
     out = pieri_multiply(start, 2)
