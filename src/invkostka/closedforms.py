@@ -26,28 +26,26 @@ class FormulaDomainError(ValueError):
     """A closed form was asked for parameters outside its validity range."""
 
 
+def _signed_orderings(lam: Partition, mu_len: int, d: int, t: int) -> int:
+    """(-1)^(mu_len - l) * t * (l - d)! / (i_1! ... i_k!), where l is the
+    length of lam and i_1, ..., i_k its multiplicities."""
+    l = lam.length
+    den = prod(factorial(i) for _, i in lam.multiplicities())
+    sign = -1 if (mu_len - l) % 2 else 1
+    return sign * t * factorial(l - d) // den
+
+
 def lemma5(lam: Partition) -> int:
     """Entry at mu = (1^m): sign times the multinomial count of orderings
     of lambda's parts, (-1)^(m - l) * l! / (i_1! ... i_k!)."""
-    if lam.weight == 0:
-        return 1
-    l = lam.length
-    den = prod(factorial(i) for _, i in lam.multiplicities())
-    sign = -1 if (lam.weight - l) % 2 else 1
-    return sign * factorial(l) // den
+    return _signed_orderings(lam, lam.weight, 0, 1)
 
 
 def lemma6(lam: Partition, a: int) -> int:
     """Entry at mu = (1^(m-a), a) for a >= 1, where m is the weight."""
     if a < 1 or a > lam.weight:
         raise FormulaDomainError(f"need 1 <= a <= weight, got a={a}")
-    if lam.weight == 0:
-        return 1
-    l = lam.length
-    den = prod(factorial(i) for _, i in lam.multiplicities())
-    mu_len = (lam.weight - a) + 1
-    sign = -1 if (mu_len - l) % 2 else 1
-    return sign * factorial(l - 1) * lam.conjugate_count(a) // den
+    return _signed_orderings(lam, lam.weight - a + 1, 1, lam.conjugate_count(a))
 
 
 def corollary3(lam: Partition, a: int, b: int) -> int:
@@ -84,13 +82,7 @@ def corollary3(lam: Partition, a: int, b: int) -> int:
         start = d + 1
     for j in range(start, k + 1):
         t -= mults[j - 1][1] * remove_part(lam, j).part_count(a - 1)
-    if t == 0:
-        return 0
-
-    l = lam.length
-    den = prod(factorial(i) for _, i in mults)
-    sign = -1 if ((m0 + 2) - l) % 2 else 1
-    return sign * factorial(l - 2) * t // den
+    return _signed_orderings(lam, m0 + 2, 2, t)
 
 
 def corollary4(k: int, l: int) -> SchurExpansion:

@@ -11,15 +11,15 @@ The three engines share no recurrence code:
 
 What they take from the partition toolkit are small kernels: the vertical
 strip tables and the last-nonzero compare (duan), the ER reduction kernel
-(er, and the T chains), and the inversion count (brute).
+(er), and the inversion count (brute).
 
-Each recurrence step is a generator of signed (lam', mu') moves: the
-memoized engine sums its own entries over them from its own frame, so a
-step adds no stack depth, and the Corollary 1 check sums strip-engine
-entries over the moves of both steps.  On top of these sit the chain
-enumerations whose signed counts reproduce the same numbers, the
-signed-solution polynomial f, and labeled matrix builders for
-whole-weight tables.
+Each recurrence step is a generator of signed (sign, j, lam', mu') moves:
+the memoized engine sums its own entries over them from its own frame, so
+a step adds no stack depth.  The same moves serve twice more: the S and T
+chains, whose signed counts reproduce the entry, unroll them down to the
+empty pair, and the Corollary 1 check sums strip-engine entries over one
+move of each step.  On top of these sit the signed-solution polynomial f
+and labeled matrix builders for whole-weight tables.
 """
 
 from __future__ import annotations
@@ -82,16 +82,16 @@ def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     total = 0
-    for sign, reduced, omega in _duan_moves(lam, mu):
+    for sign, _, reduced, omega in _duan_moves(lam, mu):
         total += sign * _duan_entry(reduced, omega)
     return total
 
 
 def _duan_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
-    """One strip-removal step as (sign, lam', mu') moves: for each distinct
-    part v of lam that is at least the largest part of mu, drop one v from
-    lam and, from the rest of mu, a vertical strip of size v - max(mu), with
-    sign (-1)^(size)."""
+    """One strip-removal step as (sign, j, lam', mu') moves: for each
+    distinct part v of lam that is at least the largest part of mu, drop one
+    v from lam and, from the rest of mu, a vertical strip of size
+    j = v - max(mu), with sign (-1)^j."""
     if not mu:
         return  # nothing to peel
     mu_max = mu[-1]
@@ -104,7 +104,7 @@ def _duan_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
         reduced = lam[:j] + lam[j + 1 :]
         sign = -1 if strip % 2 else 1
         for omega in _strip_predecessors_raw(rest, strip):
-            yield sign, reduced, omega
+            yield sign, strip, reduced, omega
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +123,22 @@ def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not lam or not mu:
         return 0
     total = 0
-    for sign, reduced, omega in _er_moves(lam, mu):
+    for sign, _, reduced, omega in _er_moves(lam, mu):
         total += sign * _er_recurse(reduced, omega)
     return total
 
 
 def _er_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
-    """One part-removal step as (sign, lam', mu') moves: for each index i
-    with mu_i + i - 1 a part of lam, drop that part from lam and take the ER
-    reduction of mu at i, with sign (-1)^(i - 1)."""
+    """One part-removal step as (sign, i, lam', mu') moves: for each index
+    i with mu_i + i - 1 a part of lam, drop that part from lam and take the
+    ER reduction of mu at i, with sign (-1)^(i - 1)."""
     distinct = set(lam)
     for i, part in enumerate(mu, 1):
         value = part + i - 1
         if value not in distinct:
             continue
         j = lam.index(value)
-        yield (-1 if i % 2 == 0 else 1), lam[:j] + lam[j + 1 :], _er_reduce(mu, i)
+        yield (-1 if i % 2 == 0 else 1), i, lam[:j] + lam[j + 1 :], _er_reduce(mu, i)
 
 
 # ---------------------------------------------------------------------------
@@ -270,68 +270,36 @@ class ChainT:
     sign: int
 
 
-def _chains(lam: Partition, mu: Partition, moves, successors) -> list:
-    """Backtrack from mu down to the empty partition, spending each part of
-    lam as the value of exactly one step.  ``moves(parts)`` lists the
-    (value, j) steps out of a partition and ``successors(parts, j)`` where
-    step j leads.  Returns (steps, values, sum of j) for every chain, with
-    its steps listed from the empty end, in depth-first order."""
+def _chains(lam: Partition, mu: Partition, moves, chain):
+    """Unroll one recurrence step, ``moves`` (``_duan_moves`` or
+    ``_er_moves``), from (lam, mu) down to the empty pair.  A chain's sign is
+    the product of its move signs; each step records (mu^i, j) and, as its
+    value, the part of lam that the move spends.  Chains come in depth-first
+    order, each with its steps listed from the empty end."""
     check_same_weight(lam, mu)
-    k = lam.length
-    remaining = dict(lam.multiplicities())
-    acc: list[tuple[Partition, int, int]] = []
+    acc: list[tuple[tuple[Partition, int], int]] = []
     found: list = []
 
-    def rec(current: Partition) -> None:
-        if len(acc) == k:
-            if not current.parts:
-                steps = acc[::-1]
-                found.append((
-                    tuple((p, j) for p, j, _ in steps),
-                    tuple(v for _, _, v in steps),
-                    sum(j for _, j, _ in steps),
-                ))
+    def rec(lam: tuple[int, ...], mu: tuple[int, ...], sign: int) -> None:
+        if not lam and not mu:
+            steps = acc[::-1]
+            found.append(chain(tuple(s for s, _ in steps), tuple(v for _, v in steps), sign))
             return
-        for value, j in moves(current.parts):
-            if not remaining.get(value):
-                continue
-            remaining[value] -= 1
-            acc.append((current, j, value))
-            for nxt in successors(current.parts, j):
-                rec(Partition._from_sorted(nxt))
+        for s, j, reduced, omega in moves(lam, mu):
+            acc.append(((Partition._from_sorted(mu), j), sum(lam) - sum(reduced)))
+            rec(reduced, omega, sign * s)
             acc.pop()
-            remaining[value] += 1
 
-    rec(mu)
+    rec(lam.parts, mu.parts, 1)
     return found
 
 
 def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
-    values = tuple(dict.fromkeys(lam.parts))  # distinct, ascending
-
-    def moves(ps):  # ascending b means ascending strip size
-        top = ps[-1] if ps else 0
-        return [(b, b - top) for b in values if b >= top]
-
-    return [
-        ChainS(steps, bs, 1 - 2 * (jsum % 2))
-        for steps, bs, jsum in _chains(
-            lam, mu, moves, lambda ps, j: _strip_predecessors_raw(ps[:-1], j)
-        )
-    ]
+    return _chains(lam, mu, _duan_moves, ChainS)
 
 
 def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
-    k = lam.length
-    return [
-        ChainT(steps, avals, 1 - 2 * ((jsum - k) % 2))
-        for steps, avals, jsum in _chains(
-            lam,
-            mu,
-            lambda ps: [(p + j - 1, j) for j, p in enumerate(ps, 1)],
-            lambda ps, j: (_er_reduce(ps, j),),
-        )
-    ]
+    return _chains(lam, mu, _er_moves, ChainT)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +372,6 @@ def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
     """Expand the entry one step along each recurrence, both fed with
     sub-entries from the strip engine, and compare the two sums."""
     check_same_weight(lam, mu)
-    lhs = sum(s * _duan_entry(l, m) for s, l, m in _duan_moves(lam.parts, mu.parts))
-    rhs = sum(s * _duan_entry(l, m) for s, l, m in _er_moves(lam.parts, mu.parts))
+    lhs = sum(s * _duan_entry(l, m) for s, _, l, m in _duan_moves(lam.parts, mu.parts))
+    rhs = sum(s * _duan_entry(l, m) for s, _, l, m in _er_moves(lam.parts, mu.parts))
     return Corollary1Check(lhs, rhs, lhs == rhs)

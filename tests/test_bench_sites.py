@@ -2,7 +2,9 @@
 name: it reads memo counters through ``cache_info()`` and wraps functions
 and class-body methods with span recorders.  These tests resolve every name
 it lists, so a refactor that moves or unwraps one fails here instead of
-silently dropping a benchmark metric.  ``perfbench/`` is only read."""
+silently dropping a benchmark metric.  The input generator keeps its own
+copy of the brute-force cap, checked here against the package's.
+``perfbench/`` is only read."""
 
 import importlib
 import importlib.util
@@ -12,17 +14,17 @@ import pytest
 
 from invkostka import Partition, monomial_to_schur, steenrod_P, steenrod_Sq
 
-PROBE = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_probe():
-    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    return probe
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-probe = _load_probe()
+probe = _load("probe")
 SPAN_SITES = [
     (span, tuple(site)) for span, sites in sorted(probe.SPAN_SITES.items()) for site in sites
 ]
@@ -54,3 +56,8 @@ def test_row_results_keep_partition_coefficient_dicts():
     for result in (monomial_to_schur(Partition([1, 2])), steenrod_P(1, 1, 3), steenrod_Sq(1, 2)):
         assert type(result.coeffs) is dict
         assert all(type(p) is Partition and type(c) is int for p, c in result.coeffs.items())
+
+
+def test_benchmark_inputs_keep_the_package_brute_force_cap():
+    # the input generator does not import invkostka, so it keeps its own copy
+    assert _load("inputs")._BRUTE_MAX_N == _module("inverse")._BRUTE_MAX_N

@@ -252,6 +252,17 @@ def test_deep_brute_force_answers_without_traceback(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_deep_strip_chain_answers_without_traceback(capsys):
+    code, out, err = invoke(
+        capsys, "chains", "--family", "S", "--lambda", "1^300", "--mu", "1^300",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["result"]["signed_sum"] == "1"
+    assert len(doc["result"]["chains"]) == 1
+
+
 def test_outputs_are_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -263,14 +274,22 @@ def test_outputs_are_deterministic(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import invkostka
+
+    # the child must import the same package, installed or not
+    src = str(Path(invkostka.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "invkostka", "entry", "--lambda", "[1,2]",
          "--mu", "[1,1,1]"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "-2\n"

@@ -4,8 +4,8 @@ stderr byte for byte.
 
 The transcript covers every README example in all three formats, the
 ``verify --max-weight 6`` sweep, extra chain, matrix, entry and Steenrod
-queries, the exit-1, exit-2 and exit-3 probes, and two inputs too deep for
-the recursion limit.  A record is::
+queries, the exit-1, exit-2 and exit-3 probes, and three inputs too deep
+for the recursion limit (two entries, one chain).  A record is::
 
     @@ argv <JSON list>
     @@ patch <cli attribute> <int>      (optional: the attribute is replaced

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invkostka.inverse import (
+    ChainS,
+    ChainT,
     cancellation_zero,
     enumerate_chains_S,
     enumerate_chains_T,
@@ -21,6 +23,9 @@ from invkostka.inverse import (
 from invkostka.partitions import (
     Partition,
     WeightMismatchError,
+    _er_reduce,
+    _strip_predecessors_raw,
+    check_same_weight,
     distinct_permutations,
     enumerate_partitions,
 )
@@ -210,6 +215,83 @@ def test_chain_signed_sums_equal_entries():
                 k = inv_kostka_duan(lam, mu)
                 assert sum(c.sign for c in enumerate_chains_S(lam, mu)) == k
                 assert sum(c.sign for c in enumerate_chains_T(lam, mu)) == k
+
+
+# The chain enumerators as they were before they unrolled the engines' own
+# move generators, kept verbatim (bar their names) as a reference.
+
+
+def _reference_chains(lam: Partition, mu: Partition, moves, successors) -> list:
+    """Backtrack from mu down to the empty partition, spending each part of
+    lam as the value of exactly one step.  ``moves(parts)`` lists the
+    (value, j) steps out of a partition and ``successors(parts, j)`` where
+    step j leads.  Returns (steps, values, sum of j) for every chain, with
+    its steps listed from the empty end, in depth-first order."""
+    check_same_weight(lam, mu)
+    k = lam.length
+    remaining = dict(lam.multiplicities())
+    acc: list[tuple[Partition, int, int]] = []
+    found: list = []
+
+    def rec(current: Partition) -> None:
+        if len(acc) == k:
+            if not current.parts:
+                steps = acc[::-1]
+                found.append((
+                    tuple((p, j) for p, j, _ in steps),
+                    tuple(v for _, _, v in steps),
+                    sum(j for _, j, _ in steps),
+                ))
+            return
+        for value, j in moves(current.parts):
+            if not remaining.get(value):
+                continue
+            remaining[value] -= 1
+            acc.append((current, j, value))
+            for nxt in successors(current.parts, j):
+                rec(Partition._from_sorted(nxt))
+            acc.pop()
+            remaining[value] += 1
+
+    rec(mu)
+    return found
+
+
+def _reference_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
+    values = tuple(dict.fromkeys(lam.parts))  # distinct, ascending
+
+    def moves(ps):  # ascending b means ascending strip size
+        top = ps[-1] if ps else 0
+        return [(b, b - top) for b in values if b >= top]
+
+    return [
+        ChainS(steps, bs, 1 - 2 * (jsum % 2))
+        for steps, bs, jsum in _reference_chains(
+            lam, mu, moves, lambda ps, j: _strip_predecessors_raw(ps[:-1], j)
+        )
+    ]
+
+
+def _reference_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
+    k = lam.length
+    return [
+        ChainT(steps, avals, 1 - 2 * ((jsum - k) % 2))
+        for steps, avals, jsum in _reference_chains(
+            lam,
+            mu,
+            lambda ps: [(p + j - 1, j) for j, p in enumerate(ps, 1)],
+            lambda ps, j: (_er_reduce(ps, j),),
+        )
+    ]
+
+
+def test_chains_match_the_backtracking_reference_in_order():
+    for m in range(0, 9):
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            for mu in parts:
+                assert enumerate_chains_S(lam, mu) == _reference_chains_S(lam, mu), (lam, mu)
+                assert enumerate_chains_T(lam, mu) == _reference_chains_T(lam, mu), (lam, mu)
 
 
 def test_monomial_to_schur_row():
