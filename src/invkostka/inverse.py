@@ -72,7 +72,7 @@ def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     while lam and mu and lam[-1] == mu[-1]:
         lam = lam[:-1]
         mu = mu[:-1]
-    if not lam and not mu:
+    if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
     if len(lam) > len(mu) or _last_nonzero_cmp(lam, mu) < 0:
         return 0
@@ -118,10 +118,8 @@ def inv_kostka_er(lam: Partition, mu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not lam and not mu:
+    if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
-    if not lam or not mu:
-        return 0
     total = 0
     for sign, _, reduced, omega in _er_moves(lam, mu):
         total += sign * _er_recurse(reduced, omega)

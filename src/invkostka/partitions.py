@@ -10,7 +10,7 @@ convention.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterable, Iterator
 
 
@@ -228,42 +228,33 @@ def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     # Aligned by padded position, a removable vertical strip decrements a
-    # sub-multiset of parts by one each, no part twice; enumerating one
+    # sub-multiset of parts by one each, no part twice; choosing one
     # decrement count per block of equal parts hits each result exactly once.
     blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    found: set[tuple[int, ...]] = set()
-
-    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
-        if idx == len(blocks):
-            if left == 0:
-                found.add(tuple(sorted(acc)))
-            return
-        value, mult = blocks[idx]
-        for k in range(min(mult, left) + 1):
-            ext = (value,) * (mult - k)
-            if value > 1:
-                ext += (value - 1,) * k
-            rec(idx + 1, left - k, acc + ext)
-
-    rec(0, r, ())
+    found: list[tuple[int, ...]] = []
+    for ks in product(*[range(min(mult, r) + 1) for _, mult in blocks]):
+        if sum(ks) == r:
+            acc: list[int] = []
+            for (value, mult), k in zip(blocks, ks):
+                acc += [value] * (mult - k)
+                if value > 1:
+                    acc += [value - 1] * k
+            found.append(tuple(sorted(acc)))
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    found: set[tuple[int, ...]] = set()
-
-    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
-        if idx == len(blocks):
+    found: list[tuple[int, ...]] = []
+    for ks in product(*[range(min(mult, r) + 1) for _, mult in blocks]):
+        left = r - sum(ks)
+        if left >= 0:
             # anything not yet used becomes a new part equal to 1
-            found.add(tuple(sorted(acc + (1,) * left)))
-            return
-        value, mult = blocks[idx]
-        for k in range(min(mult, left) + 1):
-            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + 1,) * k)
-
-    rec(0, r, ())
+            acc = [1] * left
+            for (value, mult), k in zip(blocks, ks):
+                acc += [value] * (mult - k) + [value + 1] * k
+            found.append(tuple(sorted(acc)))
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 

@@ -23,6 +23,7 @@ from .symfunc import (
     SchurExpansion,
     SparsePolynomial,
     _Combination,
+    _combine,
     elementary_symmetric,
     pieri_multiply,
 )
@@ -147,12 +148,12 @@ def integral_wu_lift(k: int, m: int) -> EPolynomial:
     summand carried along.
     """
     _check_km(k, m)
-    out = EPolynomial()
-    for t in range(k + 1):
-        c = comb(m - k + t, t)
-        hook = giambelli_hook2(m + t, k - t)
-        out = out + hook * (-c if t % 2 else c)
-    return out
+    coeffs = _combine(
+        (key, (-1) ** t * comb(m - k + t, t) * d)
+        for t in range(k + 1)
+        for key, d in giambelli_hook2(m + t, k - t).coeffs.items()
+    )
+    return EPolynomial._unsafe(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +167,12 @@ def _e_indices_to_schur(indices: tuple[int, ...]) -> SchurExpansion:
 def epoly_to_schur(ep: EPolynomial) -> SchurExpansion:
     """Expand each product of e_i over Schur functions by iterated
     column-strip multiplication and add everything up."""
-    acc = SchurExpansion()
-    for key, c in ep.items():
-        acc = acc + c * _e_indices_to_schur(key)
-    return acc
+    coeffs = _combine(
+        (part, c * d)
+        for key, c in ep.items()
+        for part, d in _e_indices_to_schur(key).coeffs.items()
+    )
+    return SchurExpansion._unsafe(coeffs)
 
 
 def wu_rhs(k: int, m: int) -> ModPExpansion:
@@ -205,9 +208,10 @@ def epoly_to_polynomial(ep: EPolynomial, n: int) -> SparsePolynomial:
     their whole term."""
     if n < 1:
         raise ValueError("need at least one variable")
-    acc = SparsePolynomial(n)
-    for key, c in ep.items():
-        if any(i > n for i in key):
-            continue
-        acc = acc + c * _e_product_poly(key, n)
-    return acc
+    terms = _combine(
+        (expo, c * d)
+        for key, c in ep.items()
+        if all(i <= n for i in key)
+        for expo, d in _e_product_poly(key, n).terms.items()
+    )
+    return SparsePolynomial._unsafe(n, terms)

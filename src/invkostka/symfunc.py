@@ -10,7 +10,7 @@ ground truth that the recurrence engines are validated against.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import add
 from typing import Iterable, Mapping
 
@@ -176,23 +176,11 @@ def elementary_symmetric(r: int, n: int) -> SparsePolynomial:
 def _hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(predecessor, removed) pairs where shape minus predecessor is a
     horizontal strip; shapes are in the decreasing convention here."""
-    if not shape:
-        return (((), 0),)
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(i: int, acc: tuple[int, ...], removed: int) -> None:
-        if i == len(shape):
-            trimmed = acc
-            while trimmed and trimmed[-1] == 0:
-                trimmed = trimmed[:-1]
-            out.append((trimmed, removed))
-            return
-        lo = shape[i + 1] if i + 1 < len(shape) else 0
-        for v in range(lo, shape[i] + 1):
-            rec(i + 1, acc + (v,), removed + shape[i] - v)
-
-    rec(0, (), 0)
-    return tuple(out)
+    # row i keeps between shape[i + 1] (0 for the last row) and shape[i]
+    # cells; a predecessor is non-increasing, so its zeros trail
+    size = sum(shape)
+    rows = [range(lo, row + 1) for row, lo in zip(shape, shape[1:] + (0,))]
+    return tuple((pred[: len(pred) - pred.count(0)], size - sum(pred)) for pred in product(*rows))
 
 
 def schur(lam: Partition, n: int) -> SparsePolynomial:
@@ -340,7 +328,7 @@ def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomi
     too_long = [p for p in expansion.coeffs if p.length > n]
     if too_long:
         raise ValueError(f"{too_long[0]} needs more than {n} variables")
-    total = SparsePolynomial._unsafe(n, {})
-    for part, c in expansion.items():
-        total = total + schur(part, n) * c
-    return total
+    terms = _combine(
+        (expo, c * d) for part, c in expansion.items() for expo, d in schur(part, n).terms.items()
+    )
+    return SparsePolynomial._unsafe(n, terms)

@@ -1,6 +1,7 @@
 """Partition toolkit: parsing, enumeration order, strips, reductions."""
 
 from functools import cmp_to_key
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,8 @@ from invkostka.partitions import (
     Partition,
     PartitionParseError,
     WeightMismatchError,
+    _strip_predecessors_raw,
+    _strip_successors_raw,
     distinct_permutations,
     enumerate_partitions,
     er_reduction,
@@ -17,6 +20,7 @@ from invkostka.partitions import (
     vertical_strip_predecessors,
     vertical_strip_successors,
 )
+from invkostka.symfunc import _hstrip_predecessors
 
 partitions = st.builds(
     Partition, st.lists(st.integers(min_value=1, max_value=8), max_size=6)
@@ -239,3 +243,86 @@ def test_compare_antisymmetry(a, b):
 def test_sort_key_orders_canonically():
     parts = enumerate_partitions(7)
     assert parts == sorted(parts, key=lambda p: p.sort_key)
+
+
+# The three strip tables as they were before they became loops over
+# itertools.product, kept verbatim (bar their names and decorators) as a
+# reference.
+
+
+def _reference_strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    # Aligned by padded position, a removable vertical strip decrements a
+    # sub-multiset of parts by one each, no part twice; enumerating one
+    # decrement count per block of equal parts hits each result exactly once.
+    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
+    found: set[tuple[int, ...]] = set()
+
+    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
+        if idx == len(blocks):
+            if left == 0:
+                found.add(tuple(sorted(acc)))
+            return
+        value, mult = blocks[idx]
+        for k in range(min(mult, left) + 1):
+            ext = (value,) * (mult - k)
+            if value > 1:
+                ext += (value - 1,) * k
+            rec(idx + 1, left - k, acc + ext)
+
+    rec(0, r, ())
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def _reference_strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
+    found: set[tuple[int, ...]] = set()
+
+    def rec(idx: int, left: int, acc: tuple[int, ...]) -> None:
+        if idx == len(blocks):
+            # anything not yet used becomes a new part equal to 1
+            found.add(tuple(sorted(acc + (1,) * left)))
+            return
+        value, mult = blocks[idx]
+        for k in range(min(mult, left) + 1):
+            rec(idx + 1, left - k, acc + (value,) * (mult - k) + (value + 1,) * k)
+
+    rec(0, r, ())
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def _reference_hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(predecessor, removed) pairs where shape minus predecessor is a
+    horizontal strip; shapes are in the decreasing convention here."""
+    if not shape:
+        return (((), 0),)
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def rec(i: int, acc: tuple[int, ...], removed: int) -> None:
+        if i == len(shape):
+            trimmed = acc
+            while trimmed and trimmed[-1] == 0:
+                trimmed = trimmed[:-1]
+            out.append((trimmed, removed))
+            return
+        lo = shape[i + 1] if i + 1 < len(shape) else 0
+        for v in range(lo, shape[i] + 1):
+            rec(i + 1, acc + (v,), removed + shape[i] - v)
+
+    rec(0, (), 0)
+    return tuple(out)
+
+
+def test_strip_tables_match_the_backtracking_reference_in_order():
+    # through __wrapped__, so every table is built here rather than read
+    # from a memo that other tests filled
+    pred = _strip_predecessors_raw.__wrapped__
+    succ = _strip_successors_raw.__wrapped__
+    hstrip = _hstrip_predecessors.__wrapped__
+    for m in range(15):
+        for p in enumerate_partitions(m):
+            parts = p.parts
+            for r in range(m + 1):
+                assert pred(parts, r) == _reference_strip_predecessors_raw(parts, r), (parts, r)
+                assert succ(parts, r) == _reference_strip_successors_raw(parts, r), (parts, r)
+            shape = parts[::-1]
+            assert hstrip(shape) == _reference_hstrip_predecessors(shape), shape
