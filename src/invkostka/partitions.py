@@ -10,7 +10,7 @@ convention.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby
 from typing import Iterable, Iterator
 
 
@@ -230,31 +230,33 @@ def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, 
     # Aligned by padded position, a removable vertical strip decrements a
     # sub-multiset of parts by one each, no part twice; choosing one
     # decrement count per block of equal parts hits each result exactly once.
-    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    found: list[tuple[int, ...]] = []
-    for ks in product(*[range(min(mult, r) + 1) for _, mult in blocks]):
-        if sum(ks) == r:
-            acc: list[int] = []
-            for (value, mult), k in zip(blocks, ks):
-                acc += [value] * (mult - k)
-                if value > 1:
-                    acc += [value - 1] * k
-            found.append(tuple(sorted(acc)))
+    # Each state is (parts so far, strip left); a block takes at most what is
+    # left, so a spent strip stops branching instead of trying every choice.
+    states: list[tuple[tuple[int, ...], int]] = [((), r)]
+    for value, group in groupby(parts):
+        mult = len(list(group))
+        states = [
+            (acc + (value,) * (mult - k) + (value - 1,) * k, left - k)
+            for acc, left in states
+            for k in range(min(mult, left) + 1)
+        ]
+    # parts equal to 1 that lost their box become zeros, which are dropped
+    found = [tuple(sorted(p for p in acc if p)) for acc, left in states if left == 0]
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    blocks = [(v, len(list(g))) for v, g in groupby(parts)]
-    found: list[tuple[int, ...]] = []
-    for ks in product(*[range(min(mult, r) + 1) for _, mult in blocks]):
-        left = r - sum(ks)
-        if left >= 0:
-            # anything not yet used becomes a new part equal to 1
-            acc = [1] * left
-            for (value, mult), k in zip(blocks, ks):
-                acc += [value] * (mult - k) + [value + 1] * k
-            found.append(tuple(sorted(acc)))
+    states: list[tuple[tuple[int, ...], int]] = [((), r)]
+    for value, group in groupby(parts):
+        mult = len(list(group))
+        states = [
+            (acc + (value,) * (mult - k) + (value + 1,) * k, left - k)
+            for acc, left in states
+            for k in range(min(mult, left) + 1)
+        ]
+    # anything not yet used becomes a new part equal to 1
+    found = [tuple(sorted(acc + (1,) * left)) for acc, left in states]
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 

@@ -20,6 +20,7 @@ from invkostka.partitions import (
     vertical_strip_predecessors,
     vertical_strip_successors,
 )
+from invkostka.inverse import inv_kostka_duan
 from invkostka.symfunc import _hstrip_predecessors
 
 partitions = st.builds(
@@ -245,8 +246,8 @@ def test_sort_key_orders_canonically():
     assert parts == sorted(parts, key=lambda p: p.sort_key)
 
 
-# The three strip tables as they were before they became loops over
-# itertools.product, kept verbatim (bar their names and decorators) as a
+# The three strip tables as they were while each was a recursive closure,
+# kept verbatim (bar their names and decorators) as a
 # reference.
 
 
@@ -326,3 +327,16 @@ def test_strip_tables_match_the_backtracking_reference_in_order():
                 assert succ(parts, r) == _reference_strip_successors_raw(parts, r), (parts, r)
             shape = parts[::-1]
             assert hstrip(shape) == _reference_hstrip_predecessors(shape), shape
+
+
+def test_strip_tables_stay_output_sensitive_on_many_distinct_parts():
+    # 40 distinct parts give 2^40 block choices but only 40 one-box strips
+    # to remove; a table that walked every choice would not finish here
+    parts = tuple(range(1, 41))
+    pred = _strip_predecessors_raw.__wrapped__(parts, 1)
+    assert len(pred) == 40
+    assert pred == _reference_strip_predecessors_raw(parts, 1)
+    succ = _strip_successors_raw.__wrapped__(parts, 2)
+    assert succ == _reference_strip_successors_raw(parts, 2)
+    lam = Partition(list(range(1, 15)) + [15, 15, 18])
+    assert inv_kostka_duan(lam, Partition(range(1, 18))) == -1
