@@ -205,8 +205,9 @@ class TransferMatrix:
         while n:
             if n & 1:
                 result = result.matmul(base)
-            base = base.matmul(base)
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = base.matmul(base)
         return result
 
     def apply(self, vec: tuple[UniPolynomial, ...]) -> tuple[UniPolynomial, ...]:

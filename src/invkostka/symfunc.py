@@ -2,16 +2,17 @@
 
 Everything here is computed from first principles: monomial symmetric
 polynomials as sums over distinct rearrangements, alternants as signed
-permutation sums, Schur polynomials by semistandard tableau enumeration,
-and Kostka numbers by horizontal-strip chains.  The kernel serves as the
+permutation sums, Schur polynomials by a layered count of semistandard
+tableaux (entry n down to entry 1, one horizontal strip each, with the
+tableaux that agree on the entries placed so far counted together), and
+Kostka numbers by horizontal-strip chains.  The kernel serves as the
 ground truth that the recurrence engines are validated against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from operator import add
+from itertools import chain, combinations, permutations, product
 from typing import Iterable, Mapping
 
 from .partitions import (
@@ -40,6 +41,26 @@ def _combine(pairs: Iterable[tuple], into: dict | None = None) -> dict:
 def _scale(coeffs: dict, scalar: int) -> dict:
     """Every coefficient times a scalar; empty when the scalar is zero."""
     return {key: c * scalar for key, c in coeffs.items()} if scalar else {}
+
+
+def _encode(terms: dict, base: int) -> list[tuple[int, int]]:
+    """(key, coeff) pairs, each exponent vector read as the digits of one
+    integer in the given base, most significant first."""
+    out = []
+    for expo, c in terms.items():
+        key = 0
+        for e in expo:
+            key = key * base + e
+        out.append((key, c))
+    return out
+
+
+def _decode(key: int, base: int, n: int) -> tuple[int, ...]:
+    """The n-digit exponent vector that ``_encode`` read as ``key``."""
+    expo = [0] * n
+    for i in range(n - 1, -1, -1):
+        key, expo[i] = divmod(key, base)
+    return tuple(expo)
 
 
 def staircase(n: int) -> tuple[int, ...]:
@@ -102,6 +123,8 @@ class SparsePolynomial:
         return SparsePolynomial._unsafe(self.n, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("variable counts differ")
         return SparsePolynomial._unsafe(self.n, _combine(other.terms.items(), dict(self.terms)))
@@ -116,14 +139,16 @@ class SparsePolynomial:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        a, b = self.terms.items(), other.terms.items()
+        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        # exponent vectors as base-`base` digits: a sum never carries, so a
+        # monomial product is one integer sum
+        base = max(chain.from_iterable(a), default=0) + max(chain.from_iterable(b), default=0) + 1
+        a, b = _encode(a, base), _encode(b, base)
+        sums = _combine((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
         return SparsePolynomial._unsafe(
-            self.n,
-            _combine(
-                (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a for e2, c2 in b
-            ),
+            self.n, {_decode(key, base, self.n): c for key, c in sums.items()}
         )
 
     __rmul__ = __mul__
@@ -183,29 +208,35 @@ def _hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
     return tuple((pred[: len(pred) - pred.count(0)], size - sum(pred)) for pred in product(*rows))
 
 
+def _tableau_sum(level: dict, n: int) -> dict:
+    """Weighted exponent counts of the semistandard tableaux with entries in
+    1..n, filled from entry n down to entry 1, each entry a horizontal strip.
+
+    ``level`` maps each shape still to be filled (decreasing convention) to
+    ``{exponents of the entries already placed: weight}``; a seed shape
+    starts at ``{(): its coefficient}``.  Tableaux that agree on the entries
+    placed so far are counted once, not walked one by one."""
+    done: dict[tuple[int, ...], int] = {}
+    for j in range(n, 0, -1):
+        below: dict = {}
+        for shape, tails in level.items():
+            if not shape:  # entries 1..j stay zero
+                _combine((((0,) * j + e, c) for e, c in tails.items()), done)
+            elif len(shape) <= j:  # else the first column needs more than j values
+                for pred, removed in _hstrip_predecessors(shape):
+                    _combine((((removed,) + e, c) for e, c in tails.items()),
+                             below.setdefault(pred, {}))
+        level = below
+    return _combine(level.get((), {}).items(), done)
+
+
 def schur(lam: Partition, n: int) -> SparsePolynomial:
     """Schur polynomial as the content generating function of semistandard
-    tableaux of shape lam with entries in 1..n."""
+    tableaux of shape lam with entries in 1..n.  The tableaux are counted
+    layer by layer (``_tableau_sum``), not walked one at a time."""
     if n < lam.length:
         raise ValueError(f"{lam} needs at least {lam.length} variables")
-    terms: dict[tuple[int, ...], int] = {}
-    expo = [0] * n
-    shape0 = tuple(reversed(lam.parts))
-
-    def rec(shape: tuple[int, ...], j: int) -> None:
-        if not shape:
-            key = tuple(expo)  # entries below j are still zero
-            terms[key] = terms.get(key, 0) + 1
-            return
-        if len(shape) > j:
-            return  # the first column would need more than j distinct values
-        for pred, removed in _hstrip_predecessors(shape):
-            expo[j - 1] = removed
-            rec(pred, j - 1)
-        expo[j - 1] = 0
-
-    rec(shape0, n)
-    return SparsePolynomial._unsafe(n, terms)
+    return SparsePolynomial._unsafe(n, _tableau_sum({tuple(reversed(lam.parts)): {(): 1}}, n))
 
 
 def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
@@ -328,7 +359,5 @@ def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomi
     too_long = [p for p in expansion.coeffs if p.length > n]
     if too_long:
         raise ValueError(f"{too_long[0]} needs more than {n} variables")
-    terms = _combine(
-        (expo, c * d) for part, c in expansion.items() for expo, d in schur(part, n).terms.items()
-    )
-    return SparsePolynomial._unsafe(n, terms)
+    level = {tuple(reversed(part.parts)): {(): c} for part, c in expansion.coeffs.items()}
+    return SparsePolynomial._unsafe(n, _tableau_sum(level, n))

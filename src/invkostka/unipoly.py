@@ -62,6 +62,8 @@ class UniPolynomial:
         return UniPolynomial(-c for c in self.coeffs)
 
     def __add__(self, other: "UniPolynomial") -> "UniPolynomial":
+        if not isinstance(other, UniPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -81,9 +83,10 @@ class UniPolynomial:
         if not self.coeffs or not other.coeffs:
             return UniPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in nonzero:
                     out[i + j] += a * b
         return UniPolynomial(out)
 

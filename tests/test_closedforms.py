@@ -198,6 +198,28 @@ def test_h_matrix_form_domain():
 def test_transfer_matrix_power():
     a = TransferMatrix.step()
     assert a.pow(0).matmul(a).rows == a.rows
-    assert a.pow(3).rows == a.matmul(a).matmul(a).rows
+    want = TransferMatrix.identity()
+    for k in range(18):  # k-fold products
+        assert a.pow(k).rows == want.rows, k
+        want = want.matmul(a)
     with pytest.raises(ValueError):
         a.pow(-1)
+
+
+def test_transfer_matrix_power_counts_its_products(monkeypatch):
+    # square-and-multiply: one product per bit below the top and one per set
+    # bit; no square is taken after the top bit
+    calls = []
+    original = TransferMatrix.matmul
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(TransferMatrix, "matmul", counted)
+    a = TransferMatrix.step()
+    for k in range(18):
+        calls.clear()
+        a.pow(k)
+        want = k.bit_length() - 1 + bin(k).count("1") if k else 0
+        assert len(calls) == want, k

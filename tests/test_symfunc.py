@@ -7,6 +7,7 @@ the last-variable elimination law, column-strip multiplication, and the
 unitriangularity of the tableau-count matrix.
 """
 
+import random
 from functools import cmp_to_key
 
 import pytest
@@ -16,6 +17,7 @@ from invkostka.partitions import Partition, enumerate_partitions, last_nonzero_c
 from invkostka.symfunc import (
     SchurExpansion,
     SparsePolynomial,
+    _hstrip_predecessors,
     alternant,
     elementary_symmetric,
     eliminate_last,
@@ -28,6 +30,43 @@ from invkostka.symfunc import (
 )
 
 P = Partition
+
+
+# The recursive tableau walk that the layered ``schur`` replaced, kept
+# verbatim as the reference it is compared with.
+def _reference_schur(lam: Partition, n: int) -> SparsePolynomial:
+    """Schur polynomial as the content generating function of semistandard
+    tableaux of shape lam with entries in 1..n."""
+    if n < lam.length:
+        raise ValueError(f"{lam} needs at least {lam.length} variables")
+    terms: dict[tuple[int, ...], int] = {}
+    expo = [0] * n
+    shape0 = tuple(reversed(lam.parts))
+
+    def rec(shape: tuple[int, ...], j: int) -> None:
+        if not shape:
+            key = tuple(expo)  # entries below j are still zero
+            terms[key] = terms.get(key, 0) + 1
+            return
+        if len(shape) > j:
+            return  # the first column would need more than j distinct values
+        for pred, removed in _hstrip_predecessors(shape):
+            expo[j - 1] = removed
+            rec(pred, j - 1)
+        expo[j - 1] = 0
+
+    rec(shape0, n)
+    return SparsePolynomial._unsafe(n, terms)
+
+
+def _reference_product(f: SparsePolynomial, g: SparsePolynomial) -> dict:
+    """Monomial products by adding exponent tuples, one pair at a time."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def test_staircase():
@@ -86,6 +125,13 @@ def test_schur_small_shapes():
         schur(P([1, 1, 1]), 2)
 
 
+def test_schur_matches_the_recursive_reference():
+    for m in range(0, 9):
+        for lam in enumerate_partitions(m):
+            for n in range(max(1, lam.length), 9):
+                assert schur(lam, n).terms == _reference_schur(lam, n).terms, (lam, n)
+
+
 def test_schur_specializes_to_dimension_count():
     # number of semistandard tableaux = value at x = (1,...,1)
     s = schur(P([2, 2]), 3)
@@ -115,6 +161,52 @@ def test_schur_coefficient_recovery():
     for lam in enumerate_partitions(3, max_parts=n):
         alpha = tuple(x + d for x, d in zip(lam.padded(n), staircase(n)))
         assert ha.coefficient(alpha) == coeffs.get(lam, 0)
+
+
+def test_sparse_product_matches_tuple_addition():
+    rng = random.Random(20030)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+
+        def draw():
+            return SparsePolynomial(n, {
+                tuple(rng.randint(0, 4) for _ in range(n)): rng.randint(-3, 3)
+                for _ in range(rng.randint(0, 6))
+            })
+
+        f, g = draw(), draw()
+        assert (f * g).terms == _reference_product(f, g), (f.terms, g.terms)
+
+
+def test_sparse_product_edge_cases():
+    x_minus_y = SparsePolynomial(2, {(1, 0): 1, (0, 1): -1})
+    x_plus_y = SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
+    # the mixed terms cancel
+    assert (x_minus_y * x_plus_y).terms == {(2, 0): 1, (0, 2): -1}
+    assert (x_minus_y * x_minus_y).terms == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+    # the three-variable alternant times a symmetric factor stays alternating
+    a = alternant((0, 1, 2))
+    assert (a * elementary_symmetric(3, 3)).terms == alternant((1, 2, 3)).terms
+    seven = SparsePolynomial(2, {(0, 0): 7})
+    assert (seven * SparsePolynomial(2, {(0, 0): -2})).terms == {(0, 0): -14}
+    assert (seven * x_minus_y).terms == {(1, 0): 7, (0, 1): -7}
+    one_var = SparsePolynomial(1, {(3,): 2, (0,): -1})
+    assert (one_var * one_var).terms == {(6,): 4, (3,): -4, (0,): 1}
+    empty = SparsePolynomial(2)
+    assert (empty * x_plus_y).terms == {} and (x_plus_y * empty).terms == {}
+    assert (empty * empty).terms == {}
+    # schur(P(), 0) is the constant 1 in zero variables
+    assert (schur(P(), 0) * schur(P(), 0)).terms == {(): 1}
+
+
+def test_sparse_polynomial_refuses_foreign_sums():
+    f = SparsePolynomial(1, {(1,): 1})
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        1 + f
+    with pytest.raises(TypeError):
+        f - 1
 
 
 def test_eliminate_last_collects_one_exponent():
@@ -236,6 +328,29 @@ def test_pieri_matches_polynomial_multiplication():
                 lhs = schur(lam, n) * elementary_symmetric(r, n)
                 rhs = expansion_to_polynomial(out, n)
                 assert lhs == rhs, (lam, r)
+
+
+def test_expansion_to_polynomial_is_the_signed_sum_of_schur_polynomials():
+    rng = random.Random(7)
+    shapes = [lam for m in range(0, 6) for lam in enumerate_partitions(m)]
+    for _ in range(60):
+        coeffs = {lam: rng.choice((-3, -1, 1, 2)) for lam in rng.sample(shapes, 4)}
+        n = max(1, max(lam.length for lam in coeffs))
+        want = SparsePolynomial(n)
+        for lam, c in coeffs.items():
+            want = want + c * _reference_schur(lam, n)
+        assert expansion_to_polynomial(SchurExpansion(coeffs), n).terms == want.terms
+
+
+def test_expansion_to_polynomial_of_nothing_is_zero():
+    assert expansion_to_polynomial(SchurExpansion(), 3).terms == {}
+    e = SchurExpansion({P([2]): 3, P([1, 1]): -1})
+    cancelled = e + (-1) * e
+    assert expansion_to_polynomial(cancelled, 3).terms == {}
+    # s_2 - s_11 in two variables: the xy terms of the two shapes cancel
+    assert expansion_to_polynomial(SchurExpansion({P([2]): 1, P([1, 1]): -1}), 2).terms == {
+        (2, 0): 1, (0, 2): 1,
+    }
 
 
 def test_expansion_to_polynomial_needs_enough_variables():
