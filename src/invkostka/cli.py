@@ -118,18 +118,11 @@ def _cmd_row(ns) -> CommandOutput:
 def _cmd_matrix(ns) -> CommandOutput:
     mat = inverse_kostka_matrix(ns.weight) if ns.inverse else kostka_matrix(ns.weight)
     labels = [str(p) for p in mat.labels]
-    result = {
-        "labels": [_parts_json(p) for p in mat.labels],
-        "rows": [[str(v) for v in row] for row in mat.entries],
-    }
+    text = [[str(v) for v in row] for row in mat.entries]
+    result = {"labels": [_parts_json(p) for p in mat.labels], "rows": text}
     plain = ["columns: " + " ".join(labels)]
-    plain += [
-        f"{label}: " + " ".join(str(v) for v in row)
-        for label, row in zip(labels, mat.entries)
-    ]
-    rows = [[""] + labels] + [
-        [label] + [str(v) for v in row] for label, row in zip(labels, mat.entries)
-    ]
+    plain += [f"{label}: " + " ".join(row) for label, row in zip(labels, text)]
+    rows = [[""] + labels] + [[label] + row for label, row in zip(labels, text)]
     return CommandOutput(result, plain, rows)
 
 

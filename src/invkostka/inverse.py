@@ -19,7 +19,10 @@ a step adds no stack depth.  The same moves serve twice more: the S and T
 chains, whose signed counts reproduce the entry, unroll them down to the
 empty pair, and the Corollary 1 check sums strip-engine entries over one
 move of each step.  On top of these sit the signed-solution polynomial f
-and labeled matrix builders for whole-weight tables.
+and labeled matrix builders for whole-weight tables.  The matrix and row
+builders call the memoized entry on part tuples directly: every partition
+they enumerate has the weight they were given, so they skip the per-entry
+weight check of the public entry functions.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .partitions import (
     check_same_weight,
     enumerate_partitions,
 )
-from .symfunc import SchurExpansion, kostka_number
+from .symfunc import SchurExpansion, _kostka_raw
 from .unipoly import UniPolynomial
 
 
@@ -74,7 +77,8 @@ def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         mu = mu[:-1]
     if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
-    if len(lam) > len(mu) or _last_nonzero_cmp(lam, mu) < 0:
+    # now lam[-1] != mu[-1], so the last-nonzero order is decided there
+    if len(lam) > len(mu) or lam[-1] < mu[-1]:
         return 0
     return _duan_recurse(lam, mu)
 
@@ -307,9 +311,10 @@ def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
 def monomial_to_schur(lam: Partition) -> SchurExpansion:
     """The full row of inverse Kostka entries: the Schur expansion of the
     monomial symmetric function indexed by lam."""
+    a = lam.parts
     out: dict[Partition, int] = {}
     for mu in enumerate_partitions(lam.weight):
-        v = inv_kostka_duan(lam, mu)
+        v = _duan_entry(a, mu.parts)
         if v:
             out[mu] = v
     return SchurExpansion(out)
@@ -346,17 +351,20 @@ class LabeledMatrix:
 
 
 def _weight_matrix(m: int, entry) -> LabeledMatrix:
-    parts = tuple(enumerate_partitions(m))
-    return LabeledMatrix(parts, tuple(tuple(entry(lam, mu) for mu in parts) for lam in parts))
+    # every partition of m has weight m, so entry takes the part tuples
+    # with no weight check
+    labels = tuple(enumerate_partitions(m))
+    parts = [p.parts for p in labels]
+    return LabeledMatrix(labels, tuple(tuple(entry(a, b) for b in parts) for a in parts))
 
 
 def kostka_matrix(m: int) -> LabeledMatrix:
     """Kostka numbers over all partitions of m, via tableau counting."""
-    return _weight_matrix(m, kostka_number)
+    return _weight_matrix(m, lambda a, b: _kostka_raw(a[::-1], b))
 
 
 def inverse_kostka_matrix(m: int) -> LabeledMatrix:
-    return _weight_matrix(m, inv_kostka_duan)
+    return _weight_matrix(m, _duan_entry)
 
 
 @dataclass(frozen=True)

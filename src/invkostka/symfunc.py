@@ -76,8 +76,8 @@ class SparsePolynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if n < 1:
-            raise ValueError("need at least one variable")
+        if n < 0:  # n = 0 is the ring of constants, keyed by ()
+            raise ValueError(f"negative number of variables: {n}")
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
         if terms:

@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour: frozen outputs for every subcommand and
 format, exit codes, and determinism across reruns."""
 
+import csv
+import io
 import json
 
 import pytest
 
 import invkostka.cli as cli
 from invkostka.cli import run
+from invkostka.inverse import inverse_kostka_matrix, kostka_matrix
 
 
 def invoke(capsys, *argv):
@@ -86,6 +89,38 @@ def test_matrix_without_inverse_is_unitriangular(capsys):
     code, out, _ = invoke(capsys, "matrix", "--weight", "3")
     assert code == 0
     assert out.splitlines()[1] == "[3]: 1 1 1"
+
+
+def test_matrix_formats_agree_with_the_library(capsys):
+    # the three renderers share one string pass over the cells; each must
+    # give back every row and label in place
+    for inverse in (False, True):
+        for m in range(0, 10):
+            mat = inverse_kostka_matrix(m) if inverse else kostka_matrix(m)
+            labels = [str(p) for p in mat.labels]
+            argv = ["matrix", "--weight", str(m)] + (["--inverse"] if inverse else [])
+
+            code, out, err = invoke(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)["result"]
+            assert doc["labels"] == [list(p.parts) for p in mat.labels]
+            assert tuple(tuple(int(v) for v in row) for row in doc["rows"]) == mat.entries
+
+            code, out, err = invoke(capsys, *argv, "--format", "csv")
+            assert (code, err) == (0, "")
+            table = list(csv.reader(io.StringIO(out)))
+            assert table[0] == [""] + labels
+            assert [row[0] for row in table[1:]] == labels
+            assert tuple(tuple(int(v) for v in row[1:]) for row in table[1:]) == mat.entries
+
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[0] == "columns: " + " ".join(labels)
+            heads = [line.split(": ", 1)[0] for line in lines[1:]]
+            assert heads == labels
+            cells = [line.split(": ", 1)[1].split(" ") for line in lines[1:]]
+            assert tuple(tuple(int(v) for v in row) for row in cells) == mat.entries
 
 
 def test_chains_strip_family(capsys):

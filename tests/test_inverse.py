@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import invkostka.inverse as inverse
 from invkostka.inverse import (
     ChainS,
     ChainT,
@@ -24,6 +25,7 @@ from invkostka.partitions import (
     Partition,
     WeightMismatchError,
     _er_reduce,
+    _last_nonzero_cmp,
     _strip_predecessors_raw,
     check_same_weight,
     distinct_permutations,
@@ -31,6 +33,7 @@ from invkostka.partitions import (
 )
 from invkostka.symfunc import SchurExpansion
 from invkostka.unipoly import UniPolynomial
+from invkostka.verify import exact_integer_inverse
 
 P = Partition
 
@@ -313,6 +316,39 @@ def test_matrix_product_is_identity():
     for m in range(0, 8):
         assert kostka_matrix(m).matmul(inverse_kostka_matrix(m)).is_identity()
         assert inverse_kostka_matrix(m).matmul(kostka_matrix(m)).is_identity()
+
+
+def test_matrix_rows_match_independent_routes():
+    # the whole-weight builders skip the public entry point; check them
+    # against the oracle, the er engine and the row builder
+    for m in range(0, 13):
+        inv = inverse_kostka_matrix(m)
+        assert inv.entries == exact_integer_inverse(kostka_matrix(m).entries)
+        for lam, row in zip(inv.labels, inv.entries):
+            assert row == tuple(inv_kostka_er(lam, mu) for mu in inv.labels)
+            nonzero = {mu: v for mu, v in zip(inv.labels, row) if v}
+            assert monomial_to_schur(lam) == SchurExpansion(nonzero)
+
+
+def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
+    # the values cannot tell: the recursion is right on unreduced pairs and
+    # gives 0 below mu, so guard the gate that keeps such pairs out of the memo
+    recurse = inverse._duan_recurse
+    seen = []
+
+    def checked(lam, mu):
+        seen.append((lam, mu))
+        assert lam and lam[-1] != mu[-1], (lam, mu)
+        assert len(lam) <= len(mu) and _last_nonzero_cmp(lam, mu) > 0, (lam, mu)
+        return recurse(lam, mu)
+
+    monkeypatch.setattr(inverse, "_duan_recurse", checked)
+    recurse.cache_clear()
+    for m in range(0, 11):
+        inverse_kostka_matrix(m)
+        for lam in enumerate_partitions(m):
+            monomial_to_schur(lam)
+    assert seen and recurse.cache_info().currsize == len(set(seen))
 
 
 def test_one_step_expansion_identity_examples():

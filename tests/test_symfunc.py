@@ -199,6 +199,17 @@ def test_sparse_product_edge_cases():
     assert (schur(P(), 0) * schur(P(), 0)).terms == {(): 1}
 
 
+def test_sparse_polynomial_in_zero_variables_is_a_constant():
+    three = SparsePolynomial(0, {(): 3})
+    assert three == 3 * SparsePolynomial.one(0)
+    assert three == schur(P(), 0) * SparsePolynomial(0, {(): 3})
+    assert monomial_symmetric(P(), 0) == SparsePolynomial(0, {(): 1})
+    with pytest.raises(ValueError):
+        SparsePolynomial(-1)
+    with pytest.raises(ValueError):
+        SparsePolynomial(0, {(1,): 1})
+
+
 def test_sparse_polynomial_refuses_foreign_sums():
     f = SparsePolynomial(1, {(1,): 1})
     with pytest.raises(TypeError):
