@@ -8,6 +8,8 @@ rows of Steenrod operations on Chern and Stiefel-Whitney classes.
 All arithmetic is exact.
 """
 
+import sys
+
 from .closedforms import (
     FormulaDomainError,
     corollary3,
@@ -78,6 +80,23 @@ from .unipoly import UniPolynomial
 from .verify import VerifyReport, exact_integer_inverse, verify_suite
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo (``functools.lru_cache``) in the package.
+
+    The engines keep their memos for the life of the process; a long-lived
+    caller frees that memory with this call, and later calls rebuild what
+    they need.  The memos are found by walking the package's loaded modules
+    for ``cache_clear``; a module not yet imported has nothing to clear.
+    """
+    prefix = __name__ + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
 
 # every public name imported above from the package's own modules
 __all__ = sorted(

@@ -12,12 +12,11 @@ non-decreasing, and a column partition of m is written (1^m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
 from .inverse import inv_kostka_duan
-from .partitions import Partition, remove_part
+from .partitions import Partition
 from .symfunc import SchurExpansion
 from .unipoly import UniPolynomial
 
@@ -64,24 +63,12 @@ def corollary3(lam: Partition, a: int, b: int) -> int:
         )
     if lam.length < 2:
         return 0
-    mults = lam.multiplicities()
-
-    d = next((j for j, (r, _) in enumerate(mults, start=1) if r >= b), None)
-    if d is None:
-        return 0
-
-    # One summand per distinct part value >= b.  The value-b block, if it is
-    # hit, contributes through the "parts >= a" count of lambda minus one
-    # copy of b; every strictly larger block contributes through the count
-    # of parts equal to a-1, with opposite sign.
-    k = len(mults)
-    t = 0
-    start = d
-    if mults[d - 1][0] == b:
-        t += mults[d - 1][1] * remove_part(lam, d).conjugate_count(a)
-        start = d + 1
-    for j in range(start, k + 1):
-        t -= mults[j - 1][1] * remove_part(lam, j).part_count(a - 1)
+    # One summand per part >= b.  A part equal to b contributes the count of
+    # parts >= a once that copy of b is gone (one fewer, as a <= b); a larger
+    # part contributes, with opposite sign, the count of parts equal to a-1,
+    # which removing it leaves alone (a-1 < b).
+    t = lam.part_count(b) * (lam.conjugate_count(a) - 1)
+    t -= lam.conjugate_count(b + 1) * lam.part_count(a - 1)
     return _signed_orderings(lam, m0 + 2, 2, t)
 
 
@@ -165,53 +152,18 @@ def _dot(xs, ys) -> UniPolynomial:
     return sum((a * b for a, b in zip(xs, ys)), UniPolynomial())
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A 3x3 polynomial matrix, used to run the h recurrence in stride-2
-    jumps: one application advances (h_(b-2), h_(b-4), h_(b-6)) to
-    (h_b, h_(b-2), h_(b-4))."""
+# The transfer matrix A, as row tuples: one application advances
+# (h_(b-2), h_(b-4), h_(b-6)) to (h_b, h_(b-2), h_(b-4)).
+_STEP = tuple(
+    tuple(UniPolynomial(c) for c in row)
+    for row in (([0, -1], [1], []), ([], [0, -1], [1]), ([1], [], []))
+)
 
-    rows: tuple[tuple[UniPolynomial, ...], ...]
 
-    @classmethod
-    def step(cls) -> "TransferMatrix":
-        one = UniPolynomial([1])
-        zero = UniPolynomial()
-        mt = UniPolynomial([0, -1])
-        return cls(((mt, one, zero), (zero, mt, one), (one, zero, zero)))
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        one = UniPolynomial([1])
-        zero = UniPolynomial()
-        return cls(
-            (
-                (one, zero, zero),
-                (zero, one, zero),
-                (zero, zero, one),
-            )
-        )
-
-    def matmul(self, other: "TransferMatrix") -> "TransferMatrix":
-        cols = tuple(zip(*other.rows))
-        rows = tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
-        return TransferMatrix(rows)
-
-    def pow(self, n: int) -> "TransferMatrix":
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = TransferMatrix.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result.matmul(base)
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = base.matmul(base)
-        return result
-
-    def apply(self, vec: tuple[UniPolynomial, ...]) -> tuple[UniPolynomial, ...]:
-        return tuple(_dot(row, vec) for row in self.rows)
+def _square(a):
+    """The 3x3 polynomial matrix a times itself."""
+    cols = tuple(zip(*a))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 def h_polynomial_matrix(b: int) -> UniPolynomial:
@@ -224,8 +176,17 @@ def h_polynomial_matrix(b: int) -> UniPolynomial:
     k = (b - r) // 2
     if k < 3:
         raise FormulaDomainError(f"matrix form needs b >= 6, got b={b}")
-    power = TransferMatrix.step().pow(k - 3)
-    vec = power.apply((_H_BASE[2 + r], _H_BASE[1 + r], _H_BASE[r]))
+    # Powers of A commute, so A^(k-3) goes onto the vector one binary digit
+    # at a time: A^(2^i) is applied when bit i is set, and squared only while
+    # a higher bit remains.
+    vec = (_H_BASE[2 + r], _H_BASE[1 + r], _H_BASE[r])
+    power, n = _STEP, k - 3
+    while n:
+        if n & 1:
+            vec = tuple(_dot(row, vec) for row in power)
+        n >>= 1
+        if n:
+            power = _square(power)
     row = (UniPolynomial([0, 0, 1]), UniPolynomial([0, -2]), UniPolynomial([1]))
     return _dot(row, vec)
 

@@ -10,8 +10,10 @@ The three engines share no recurrence code:
   ("brute" in the CLI).
 
 What they take from the partition toolkit are small kernels: the vertical
-strip tables and the last-nonzero compare (duan), the ER reduction kernel
-(er), and the inversion count (brute).
+strip tables (duan), the ER reduction kernel (er), and the inversion count
+(brute).  Duan needs no last-nonzero compare: after its tail reduction the
+last parts differ, and that one pair decides the order.  The toolkit's
+compare serves only ``cancellation_zero`` and ``last_nonzero_compare``.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu') moves:
 the memoized engine sums its own entries over them from its own frame, so

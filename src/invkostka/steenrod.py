@@ -205,9 +205,9 @@ def _e_product_poly(indices: tuple[int, ...], n: int) -> SparsePolynomial:
 
 def epoly_to_polynomial(ep: EPolynomial, n: int) -> SparsePolynomial:
     """Evaluate in n variables.  Factors e_i with i > n vanish, killing
-    their whole term."""
-    if n < 1:
-        raise ValueError("need at least one variable")
+    their whole term; n = 0 leaves the constant term."""
+    if n < 0:
+        raise ValueError(f"negative number of variables: {n}")
     terms = _combine(
         (expo, c * d)
         for key, c in ep.items()

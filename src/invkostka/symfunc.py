@@ -64,9 +64,9 @@ def _decode(key: int, base: int, n: int) -> tuple[int, ...]:
 
 
 def staircase(n: int) -> tuple[int, ...]:
-    """The staircase exponent vector (0, 1, ..., n-1)."""
-    if n < 1:
-        raise ValueError("need at least one variable")
+    """The staircase exponent vector (0, 1, ..., n-1); empty for n = 0."""
+    if n < 0:
+        raise ValueError(f"negative number of variables: {n}")
     return tuple(range(n))
 
 

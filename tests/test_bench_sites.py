@@ -4,7 +4,8 @@ and class-body methods with span recorders.  These tests resolve every name
 it lists, so a refactor that moves or unwraps one fails here instead of
 silently dropping a benchmark metric.  The input generator keeps its own
 copy of the brute-force cap, checked here against the package's.
-``perfbench/`` is only read."""
+The benchmark also asserts empty memos at each pass start; ``clear_caches``
+must reach every memo it reads.  ``perfbench/`` is only read."""
 
 import importlib
 import importlib.util
@@ -12,7 +13,21 @@ from pathlib import Path
 
 import pytest
 
-from invkostka import Partition, monomial_to_schur, steenrod_P, steenrod_Sq
+from invkostka import (
+    EPolynomial,
+    Partition,
+    clear_caches,
+    epoly_to_polynomial,
+    epoly_to_schur,
+    g_polynomial,
+    inv_kostka_duan,
+    inv_kostka_er,
+    kostka_number,
+    monomial_to_schur,
+    steenrod_P,
+    steenrod_Sq,
+    vertical_strip_successors,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +76,20 @@ def test_row_results_keep_partition_coefficient_dicts():
 def test_benchmark_inputs_keep_the_package_brute_force_cap():
     # the input generator does not import invkostka, so it keeps its own copy
     assert _load("inputs")._BRUTE_MAX_N == _module("inverse")._BRUTE_MAX_N
+
+
+def test_clear_caches_empties_every_benchmark_memo():
+    lam, mu = Partition([1, 2, 3]), Partition([1, 1, 1, 1, 2])
+    inv_kostka_duan(lam, mu)
+    inv_kostka_er(lam, mu)
+    kostka_number(lam, mu)
+    vertical_strip_successors(lam, 2)
+    ep = EPolynomial({(1, 2): 1})
+    epoly_to_schur(ep)
+    epoly_to_polynomial(ep, 3)
+    g_polynomial(2, 1)
+    sizes = {name: c["size"] for name, c in probe.memo_counts().items()}
+    assert len(sizes) == 11
+    assert all(sizes.values()), sizes
+    clear_caches()
+    assert probe.memos_empty(), probe.memo_counts()

@@ -3,9 +3,9 @@ machinery with its frozen golden values."""
 
 import pytest
 
+from invkostka import closedforms
 from invkostka.closedforms import (
     FormulaDomainError,
-    TransferMatrix,
     corollary3,
     corollary4,
     corollary5,
@@ -81,7 +81,7 @@ def test_two_row_tail_formula_domain():
 
 def test_two_row_tail_formula_sweep():
     checked = 0
-    for m in range(4, 11):
+    for m in range(4, 15):
         for b in range(2, m):
             for a in range(2, b + 1):
                 if m - a - b < 0:
@@ -195,31 +195,18 @@ def test_h_matrix_form_domain():
         h_polynomial_matrix(5)
 
 
-def test_transfer_matrix_power():
-    a = TransferMatrix.step()
-    assert a.pow(0).matmul(a).rows == a.rows
-    want = TransferMatrix.identity()
-    for k in range(18):  # k-fold products
-        assert a.pow(k).rows == want.rows, k
-        want = want.matmul(a)
-    with pytest.raises(ValueError):
-        a.pow(-1)
+def test_h_matrix_form_squares_once_per_bit_below_the_top(monkeypatch):
+    # A^(k-3) goes onto the vector bit by bit: one square per bit below the
+    # top bit of k - 3, none after it
+    squares = []
+    original = closedforms._square
 
+    def counted(a):
+        squares.append(1)
+        return original(a)
 
-def test_transfer_matrix_power_counts_its_products(monkeypatch):
-    # square-and-multiply: one product per bit below the top and one per set
-    # bit; no square is taken after the top bit
-    calls = []
-    original = TransferMatrix.matmul
-
-    def counted(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(TransferMatrix, "matmul", counted)
-    a = TransferMatrix.step()
-    for k in range(18):
-        calls.clear()
-        a.pow(k)
-        want = k.bit_length() - 1 + bin(k).count("1") if k else 0
-        assert len(calls) == want, k
+    monkeypatch.setattr(closedforms, "_square", counted)
+    for b in range(6, 201):
+        squares.clear()
+        assert h_polynomial_matrix(b) == h_polynomial(b), b
+        assert len(squares) == max((b // 2 - 3).bit_length() - 1, 0), b

@@ -19,7 +19,7 @@ from invkostka.steenrod import (
 )
 from invkostka.inverse import monomial_to_schur
 from invkostka.partitions import Partition
-from invkostka.symfunc import SchurExpansion, schur
+from invkostka.symfunc import SchurExpansion, SparsePolynomial, schur
 
 P = Partition
 
@@ -163,8 +163,12 @@ def test_schur_row_of_lift_matches_inverse_rows():
 
 
 def test_epoly_to_polynomial_needs_a_variable():
+    # n = 0 keeps only the constant term: every e_i with i >= 1 vanishes
+    ep = EPolynomial({(): 7, (1,): 1, (1, 2): -3})
+    assert epoly_to_polynomial(ep, 0) == SparsePolynomial(0, {(): 7})
+    assert epoly_to_polynomial(EPolynomial({(1,): 1}), 0) == SparsePolynomial(0)
     with pytest.raises(ValueError):
-        epoly_to_polynomial(EPolynomial({(1,): 1}), 0)
+        epoly_to_polynomial(ep, -1)
 
 
 def test_modp_expansion_container():

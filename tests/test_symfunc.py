@@ -72,8 +72,9 @@ def _reference_product(f: SparsePolynomial, g: SparsePolynomial) -> dict:
 def test_staircase():
     assert staircase(1) == (0,)
     assert staircase(4) == (0, 1, 2, 3)
+    assert staircase(0) == ()  # zero variables, like SparsePolynomial(0)
     with pytest.raises(ValueError):
-        staircase(0)
+        staircase(-1)
 
 
 def test_monomial_symmetric_small():
