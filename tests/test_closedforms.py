@@ -195,6 +195,51 @@ def test_h_matrix_form_domain():
         h_polynomial_matrix(5)
 
 
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(closedforms._dot(row, col) for col in cols) for row in a)
+
+
+def test_transfer_matrix_power():
+    # _square(A^m) is the 2m-fold product, and the binary-digit route equals
+    # k - 3 single steps of A on the base vector
+    a = closedforms._STEP
+    power, fold = a, a
+    for m in range(1, 17):
+        if m & (m - 1) == 0:  # m a power of two
+            assert power == fold, m
+            power = closedforms._square(power)
+        fold = _matmul(fold, a)
+    row = (UniPolynomial([0, 0, 1]), UniPolynomial([0, -2]), UniPolynomial([1]))
+    for b in range(6, 42):
+        r = b % 2
+        vec = (h_polynomial(2 + r), h_polynomial(1 + r), h_polynomial(r))
+        for _ in range(b // 2 - 3):
+            vec = tuple(closedforms._dot(x, vec) for x in a)
+        assert h_polynomial_matrix(b) == closedforms._dot(row, vec), b
+    with pytest.raises(FormulaDomainError):
+        h_polynomial_matrix(-1)
+
+
+def test_transfer_matrix_power_counts_its_products(monkeypatch):
+    # per bit of n = k - 3: nine dot products for each square below the top
+    # bit, three for each set bit's step on the vector, and one final row
+    calls = []
+    original = closedforms._dot
+
+    def counted(xs, ys):
+        calls.append(1)
+        return original(xs, ys)
+
+    monkeypatch.setattr(closedforms, "_dot", counted)
+    for b in range(6, 42):
+        n = b // 2 - 3
+        calls.clear()
+        h_polynomial_matrix(b)
+        squares = max(n.bit_length() - 1, 0)
+        assert len(calls) == 9 * squares + 3 * bin(n).count("1") + 1, b
+
+
 def test_h_matrix_form_squares_once_per_bit_below_the_top(monkeypatch):
     # A^(k-3) goes onto the vector bit by bit: one square per bit below the
     # top bit of k - 3, none after it
