@@ -82,20 +82,24 @@ from .verify import VerifyReport, exact_integer_inverse, verify_suite
 __version__ = "0.1.0"
 
 
+# every memo in the package by id, collected once all its modules are imported
+# above, so that a wrapper later rebound over a module-level name cannot hide one
+_MEMOS = {
+    id(obj): obj
+    for name, module in list(sys.modules.items()) if name.startswith(__name__ + ".")
+    for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))
+}
+
+
 def clear_caches() -> None:
     """Empty every memo (``functools.lru_cache``) in the package.
 
     The engines keep their memos for the life of the process; a long-lived
     caller frees that memory with this call, and later calls rebuild what
-    they need.  The memos are found by walking the package's loaded modules
-    for ``cache_clear``; a module not yet imported has nothing to clear.
+    they need.
     """
-    prefix = __name__ + "."
-    for name, module in list(sys.modules.items()):
-        if name.startswith(prefix):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
+    for memo in _MEMOS.values():
+        memo.cache_clear()
 
 
 # every public name imported above from the package's own modules

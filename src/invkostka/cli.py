@@ -2,10 +2,11 @@
 
 Every subcommand parses its inputs, calls the library, and renders the
 result in one of three formats.  Exit codes: 0 on success, 1 on a usage
-error (bad flags, unparseable partition literal), 2 on a computation
-domain error (weight mismatch, formula outside its validity range, input
-too deep for the recursion limit), 3 when a verification fails (self-check
-suites, or engine disagreement under ``entry --engine all``).
+error (bad flags, partition literal unparseable or too large to represent),
+2 on a computation domain error (weight mismatch, formula outside its
+validity range, input too deep for the recursion limit, any other number
+too large to represent), 3 when a verification fails (self-check suites,
+or engine disagreement under ``entry --engine all``).
 
 Output is deterministic: same arguments, same bytes.  JSON output is
 ``{"query": ..., "result": ...}``, where ``query`` echoes the parsed
@@ -36,7 +37,7 @@ from .inverse import (
     kostka_matrix,
     monomial_to_schur,
 )
-from .partitions import Partition, PartitionParseError
+from .partitions import Partition
 from .steenrod import steenrod_P, steenrod_Sq
 from .verify import verify_suite
 
@@ -312,10 +313,10 @@ def run(argv: list[str]) -> int:
     try:
         ns = build_parser().parse_args(argv)
         out = ns.handler(ns)
-    except (UsageError, PartitionParseError) as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:  # weight mismatches and formula domain errors too
+    except (ValueError, OverflowError) as e:  # weight mismatches, domain errors, huge sizes
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -281,21 +281,16 @@ def _chains(lam: Partition, mu: Partition, moves, chain):
     value, the part of lam that the move spends.  Chains come in depth-first
     order, each with its steps listed from the empty end."""
     check_same_weight(lam, mu)
-    acc: list[tuple[tuple[Partition, int], int]] = []
-    found: list = []
 
-    def rec(lam: tuple[int, ...], mu: tuple[int, ...], sign: int) -> None:
-        if not lam and not mu:
-            steps = acc[::-1]
-            found.append(chain(tuple(s for s, _ in steps), tuple(v for _, v in steps), sign))
+    def walk(lam: tuple[int, ...], mu: tuple[int, ...], sign: int, steps: tuple):
+        if not lam:  # every move keeps the weights equal, so mu is empty too
+            yield chain(tuple(s for s, _ in steps), tuple(v for _, v in steps), sign)
             return
         for s, j, reduced, omega in moves(lam, mu):
-            acc.append(((Partition._from_sorted(mu), j), sum(lam) - sum(reduced)))
-            rec(reduced, omega, sign * s)
-            acc.pop()
+            step = ((Partition._from_sorted(mu), j), sum(lam) - sum(reduced))
+            yield from walk(reduced, omega, sign * s, (step,) + steps)
 
-    rec(lam.parts, mu.parts, 1)
-    return found
+    return list(walk(lam.parts, mu.parts, 1, ()))
 
 
 def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:

@@ -86,7 +86,7 @@ class Partition:
             if not parts:
                 raise ValueError("no parts")
             return cls(parts)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # a multiplicity too large to repeat
             raise PartitionParseError(f"cannot parse partition literal {text!r}: {exc}") from None
 
     @property
@@ -176,25 +176,19 @@ def _partitions_lex(m: int, k: int, lo: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(m: int, cap: int) -> tuple[Partition, ...]:
+def _enumerate_cached(m: int) -> tuple[Partition, ...]:
     out: list[Partition] = [Partition()] if m == 0 else []
-    for k in range(1, cap + 1):
+    for k in range(1, m + 1):
         out.extend(Partition._from_sorted(t) for t in _partitions_lex(m, k, 1))
     return tuple(out)
 
 
-def enumerate_partitions(m: int, max_parts: int | None = None) -> list[Partition]:
-    """All partitions of m (optionally with at most ``max_parts`` parts).
-
-    Order is canonical: graded by length, then lexicographic on the
-    non-decreasing part tuples.
-    """
+def enumerate_partitions(m: int) -> list[Partition]:
+    """All partitions of m in canonical order: graded by length, then
+    lexicographic on the non-decreasing part tuples."""
     if m < 0:
         raise ValueError("weight must be non-negative")
-    if max_parts is not None and max_parts < 1:
-        raise ValueError("max_parts must be positive")
-    cap = m if max_parts is None else min(max_parts, m)
-    return list(_enumerate_cached(m, cap))
+    return list(_enumerate_cached(m))
 
 
 def remove_part(lam: Partition, j: int) -> Partition:
@@ -225,21 +219,26 @@ def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([p - 1 for p in parts[: i - 1] if p > 1]) + parts[i:]
 
 
-@lru_cache(maxsize=None)
-def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    # Aligned by padded position, a removable vertical strip decrements a
-    # sub-multiset of parts by one each, no part twice; choosing one
-    # decrement count per block of equal parts hits each result exactly once.
-    # Each state is (parts so far, strip left); a block takes at most what is
-    # left, so a spent strip stops branching instead of trying every choice.
+# Aligned by padded position, a vertical strip moves a sub-multiset of parts
+# by one box each, no part twice; one count k per block of equal parts hits
+# each result once.  Step -1 takes a box from k parts of the block, +1 adds
+# one.  Each state is (parts so far, strip left); a block takes at most what
+# is left, so a spent strip stops branching instead of trying every choice.
+def _strip_walk(parts: tuple[int, ...], r: int, step: int) -> list[tuple[tuple[int, ...], int]]:
     states: list[tuple[tuple[int, ...], int]] = [((), r)]
     for value, group in groupby(parts):
         mult = len(list(group))
         states = [
-            (acc + (value,) * (mult - k) + (value - 1,) * k, left - k)
+            (acc + (value,) * (mult - k) + (value + step,) * k, left - k)
             for acc, left in states
             for k in range(min(mult, left) + 1)
         ]
+    return states
+
+
+@lru_cache(maxsize=None)
+def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    states = _strip_walk(parts, r, -1)
     # parts equal to 1 that lost their box become zeros, which are dropped
     found = [tuple(sorted(p for p in acc if p)) for acc, left in states if left == 0]
     return tuple(sorted(found, key=lambda t: (len(t), t)))
@@ -247,16 +246,8 @@ def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, 
 
 @lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    states: list[tuple[tuple[int, ...], int]] = [((), r)]
-    for value, group in groupby(parts):
-        mult = len(list(group))
-        states = [
-            (acc + (value,) * (mult - k) + (value + 1,) * k, left - k)
-            for acc, left in states
-            for k in range(min(mult, left) + 1)
-        ]
     # anything not yet used becomes a new part equal to 1
-    found = [tuple(sorted(acc + (1,) * left)) for acc, left in states]
+    found = [tuple(sorted(acc + (1,) * left)) for acc, left in _strip_walk(parts, r, 1)]
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 

@@ -93,3 +93,19 @@ def test_clear_caches_empties_every_benchmark_memo():
     assert all(sizes.values()), sizes
     clear_caches()
     assert probe.memos_empty(), probe.memo_counts()
+
+
+def test_clear_caches_reaches_a_memo_rebound_by_a_wrapper(monkeypatch):
+    # as the benchmark's tracer does, rebind every module that imported the
+    # memoized g_polynomial, the package included, to a plain wrapper
+    original = _module("closedforms").g_polynomial
+    original(3, 2)
+    assert original.cache_info().currsize > 0
+
+    def wrapper(*args):
+        return original(*args)
+
+    for name in ("invkostka", "invkostka.closedforms", "invkostka.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "g_polynomial", wrapper)
+    clear_caches()
+    assert original.cache_info().currsize == 0

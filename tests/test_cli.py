@@ -10,6 +10,7 @@ import pytest
 import invkostka.cli as cli
 from invkostka.cli import run
 from invkostka.inverse import inverse_kostka_matrix, kostka_matrix
+from invkostka.partitions import Partition
 
 
 def invoke(capsys, *argv):
@@ -219,6 +220,7 @@ def test_usage_errors_exit_1(capsys):
         ["steenrod", "--op", "Sq", "--k", "1", "--m", "2", "--p", "5"],
         ["entry", "--lambda", "[1,2]"],
         ["nonsense"],
+        ["entry", "--lambda", "1^10000000000000000000", "--mu", "1"],
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 1, argv
@@ -240,11 +242,23 @@ def test_domain_errors_exit_2(capsys):
         ["hpoly", "--", "-1"],
         ["steenrod", "--op", "P", "--k", "1", "--m", "2", "--p", "4"],
         ["matrix", "--weight", "-2"],
+        ["steenrod", "--op", "Sq", "--k", "1", "--m", "10000000000000000000"],
+        ["gpoly", "99999999999999999999999", "4"],
+        ["fpoly", "--lambda", "[1]", "--mu", "[1]", "--n", "10000000000000000000"],
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:"), argv
+
+
+def test_engine_all_skips_brute_force_beyond_its_cap(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "inv_kostka_bruteforce", lambda lam, mu: calls.append(lam) or 1)
+    code, out, _ = invoke(capsys, "entry", "--lambda", "1^8", "--mu", "1^8", "--engine", "all")
+    assert (code, out, calls) == (0, "1\n", [])
+    code, out, _ = invoke(capsys, "entry", "--lambda", "1^7", "--mu", "1^7", "--engine", "all")
+    assert (code, out, calls) == (0, "1\n", [Partition([1] * 7)])
 
 
 def test_weight_mismatch_message(capsys):

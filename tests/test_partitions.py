@@ -101,11 +101,6 @@ def test_multiplicities_and_counts():
 
 def test_enumeration_is_graded_then_lex():
     assert [p.parts for p in enumerate_partitions(3)] == [(3,), (1, 2), (1, 1, 1)]
-    assert [p.parts for p in enumerate_partitions(5, max_parts=2)] == [
-        (5,),
-        (1, 4),
-        (2, 3),
-    ]
     assert enumerate_partitions(0) == [Partition()]
 
 
