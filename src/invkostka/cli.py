@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Every subcommand parses its inputs, calls the library, and renders the
-result in one of three formats.  Exit codes: 0 on success, 1 on a usage
-error (bad flags, partition literal unparseable or too large to represent),
-2 on a computation domain error (weight mismatch, formula outside its
-validity range, input too deep for the recursion limit, any other number
-too large to represent), 3 when a verification fails (self-check suites,
-or engine disagreement under ``entry --engine all``).
+result in one of three formats.  ``matrix`` checks its weight, then writes
+each row as soon as it is computed, so it never holds the whole matrix;
+the other subcommands render a finished result.  Exit codes: 0 on success,
+1 on a usage error (bad flags, partition literal unparseable or too large
+to represent), 2 on a computation domain error (weight mismatch, formula
+outside its validity range, input too deep for the recursion limit, any
+other number too large to represent) or when the output cannot be written
+(a closed pipe, a full disk), 3 when a verification fails (self-check
+suites, or engine disagreement under ``entry --engine all``).
 
 Output is deterministic: same arguments, same bytes.  JSON output is
 ``{"query": ..., "result": ...}``, where ``query`` echoes the parsed
@@ -21,20 +24,22 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
 from .closedforms import g_polynomial, h_polynomial
 from .inverse import (
     _BRUTE_MAX_N,
+    _duan_entry,
+    _kostka_entry,
+    _weight_rows,
     enumerate_chains_S,
     enumerate_chains_T,
     f_polynomial,
     inv_kostka_bruteforce,
     inv_kostka_duan,
     inv_kostka_er,
-    inverse_kostka_matrix,
-    kostka_matrix,
     monomial_to_schur,
 )
 from .partitions import Partition
@@ -116,15 +121,46 @@ def _cmd_row(ns) -> CommandOutput:
     return _expansion_output(monomial_to_schur(ns.lam).items())
 
 
-def _cmd_matrix(ns) -> CommandOutput:
-    mat = inverse_kostka_matrix(ns.weight) if ns.inverse else kostka_matrix(ns.weight)
-    labels = [str(p) for p in mat.labels]
-    text = [[str(v) for v in row] for row in mat.entries]
-    result = {"labels": [_parts_json(p) for p in mat.labels], "rows": text}
-    plain = ["columns: " + " ".join(labels)]
-    plain += [f"{label}: " + " ".join(row) for label, row in zip(labels, text)]
-    rows = [[""] + labels] + [[label] + row for label, row in zip(labels, text)]
-    return CommandOutput(result, plain, rows)
+def _cmd_matrix(ns) -> None:
+    # the labels come first, so a bad weight is refused before any output;
+    # then each row is written as soon as it is computed
+    labels, rows = _weight_rows(ns.weight, _duan_entry if ns.inverse else _kostka_entry)
+    _MATRIX_WRITERS[ns.format](sys.stdout, ns, labels, rows)
+
+
+def _write_matrix_plain(out, ns, labels, rows) -> None:
+    names = [str(p) for p in labels]
+    out.write("columns: " + " ".join(names) + "\n")
+    for name, row in zip(names, rows):
+        out.write(f"{name}: " + " ".join(map(str, row)) + "\n")
+
+
+def _write_matrix_csv(out, ns, labels, rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *labels])
+    for label, row in zip(labels, rows):
+        writer.writerow([label, *row])
+
+
+def _write_matrix_json(out, ns, labels, rows) -> None:
+    # the bytes of json.dumps({"query": ..., "result": {"labels": ...,
+    # "rows": ...}}, indent=2), written a row at a time.  An encoded value
+    # nests one level deeper by indenting each of its lines, since no
+    # encoded string holds a raw newline; cells are decimal strings, which
+    # need no escaping.  A weight has at least one partition, so "rows" is
+    # never the empty list.
+    query = json.dumps(_query(ns), indent=2).replace("\n", "\n  ")
+    parts = json.dumps([_parts_json(p) for p in labels], indent=2).replace("\n", "\n    ")
+    out.write(f'{{\n  "query": {query},\n  "result": {{\n    "labels": {parts},\n    "rows": [')
+    sep = "\n      "
+    for row in rows:
+        out.write(sep + '[\n        "' + '",\n        "'.join(map(str, row)) + '"\n      ]')
+        sep = ",\n      "
+    out.write("\n    ]\n  }\n}\n")
+
+
+_MATRIX_WRITERS = {"plain": _write_matrix_plain, "csv": _write_matrix_csv,
+                   "json": _write_matrix_json}
 
 
 def _cmd_chains(ns) -> CommandOutput:
@@ -312,7 +348,10 @@ def _render(out: CommandOutput, ns) -> None:
 def run(argv: list[str]) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        out = ns.handler(ns)
+        out = ns.handler(ns)  # None when the handler wrote its own output
+        if out is not None:
+            _render(out, ns)
+        sys.stdout.flush()
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -322,9 +361,19 @@ def run(argv: list[str]) -> int:
     except RecursionError:
         print("error: input too deep for the recursion limit", file=sys.stderr)
         return 2
-    _render(out, ns)
-    return out.exit_code
+    except OSError as e:  # stdout failed: a closed pipe, a full disk
+        print(f"error: cannot write the output: {e.strerror or e}", file=sys.stderr)
+        return 2
+    return 0 if out is None else out.exit_code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the failure; send what is still buffered to
+        # devnull, so that the interpreter's own flush at exit does not
+        # fail again and print a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

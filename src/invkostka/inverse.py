@@ -24,7 +24,9 @@ move of each step.  On top of these sit the signed-solution polynomial f
 and labeled matrix builders for whole-weight tables.  The matrix and row
 builders call the memoized entry on part tuples directly: every partition
 they enumerate has the weight they were given, so they skip the per-entry
-weight check of the public entry functions.
+weight check of the public entry functions.  The matrix builders and the
+CLI's ``matrix`` command share one lazy row generator, so the CLI can write
+each row as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -347,17 +349,28 @@ class LabeledMatrix:
         )
 
 
-def _weight_matrix(m: int, entry) -> LabeledMatrix:
-    # every partition of m has weight m, so entry takes the part tuples
-    # with no weight check
+def _weight_rows(m: int, entry):
+    """The partitions of m in canonical order, and a generator of the matrix
+    rows over them that computes each row only when it is asked for.  The
+    weight is checked here, before any row.  Every partition of m has
+    weight m, so entry takes the part tuples with no weight check."""
     labels = tuple(enumerate_partitions(m))
     parts = [p.parts for p in labels]
-    return LabeledMatrix(labels, tuple(tuple(entry(a, b) for b in parts) for a in parts))
+    return labels, (tuple(entry(a, b) for b in parts) for a in parts)
+
+
+def _weight_matrix(m: int, entry) -> LabeledMatrix:
+    labels, rows = _weight_rows(m, entry)
+    return LabeledMatrix(labels, tuple(rows))
+
+
+def _kostka_entry(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return _kostka_raw(a[::-1], b)
 
 
 def kostka_matrix(m: int) -> LabeledMatrix:
     """Kostka numbers over all partitions of m, via tableau counting."""
-    return _weight_matrix(m, lambda a, b: _kostka_raw(a[::-1], b))
+    return _weight_matrix(m, _kostka_entry)
 
 
 def inverse_kostka_matrix(m: int) -> LabeledMatrix:

@@ -2,8 +2,13 @@
 format, exit codes, and determinism across reruns."""
 
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,36 +97,35 @@ def test_matrix_without_inverse_is_unitriangular(capsys):
     assert out.splitlines()[1] == "[3]: 1 1 1"
 
 
+def _built_matrix_text(mat, query, fmt):
+    """The matrix command's expected output: the library's whole matrix
+    rendered by the standard json and csv writers, or joined as plain text."""
+    labels = [str(p) for p in mat.labels]
+    text = [[str(v) for v in row] for row in mat.entries]
+    if fmt == "json":
+        result = {"labels": [list(p.parts) for p in mat.labels], "rows": text}
+        return json.dumps({"query": query, "result": result}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [[""] + labels] + [[label] + row for label, row in zip(labels, text)])
+        return buf.getvalue()
+    lines = ["columns: " + " ".join(labels)]
+    lines += [f"{label}: " + " ".join(row) for label, row in zip(labels, text)]
+    return "".join(line + "\n" for line in lines)
+
+
 def test_matrix_formats_agree_with_the_library(capsys):
-    # the three renderers share one string pass over the cells; each must
-    # give back every row and label in place
+    # the streamed rows must give the same bytes as rendering the
+    # library's whole matrix
     for inverse in (False, True):
-        for m in range(0, 10):
+        for m in range(0, 13):
             mat = inverse_kostka_matrix(m) if inverse else kostka_matrix(m)
-            labels = [str(p) for p in mat.labels]
+            query = {"subcommand": "matrix", "weight": m, "inverse": inverse}
             argv = ["matrix", "--weight", str(m)] + (["--inverse"] if inverse else [])
-
-            code, out, err = invoke(capsys, *argv, "--format", "json")
-            assert (code, err) == (0, "")
-            doc = json.loads(out)["result"]
-            assert doc["labels"] == [list(p.parts) for p in mat.labels]
-            assert tuple(tuple(int(v) for v in row) for row in doc["rows"]) == mat.entries
-
-            code, out, err = invoke(capsys, *argv, "--format", "csv")
-            assert (code, err) == (0, "")
-            table = list(csv.reader(io.StringIO(out)))
-            assert table[0] == [""] + labels
-            assert [row[0] for row in table[1:]] == labels
-            assert tuple(tuple(int(v) for v in row[1:]) for row in table[1:]) == mat.entries
-
-            code, out, err = invoke(capsys, *argv)
-            assert (code, err) == (0, "")
-            lines = out.splitlines()
-            assert lines[0] == "columns: " + " ".join(labels)
-            heads = [line.split(": ", 1)[0] for line in lines[1:]]
-            assert heads == labels
-            cells = [line.split(": ", 1)[1].split(" ") for line in lines[1:]]
-            assert tuple(tuple(int(v) for v in row) for row in cells) == mat.entries
+            for fmt in ("plain", "csv", "json"):
+                got = invoke(capsys, *argv, "--format", fmt)
+                assert got == (0, _built_matrix_text(mat, query, fmt), ""), (m, inverse, fmt)
 
 
 def test_chains_strip_family(capsys):
@@ -242,6 +246,8 @@ def test_domain_errors_exit_2(capsys):
         ["hpoly", "--", "-1"],
         ["steenrod", "--op", "P", "--k", "1", "--m", "2", "--p", "4"],
         ["matrix", "--weight", "-2"],
+        ["matrix", "--weight", "-2", "--inverse", "--format", "csv"],
+        ["matrix", "--weight", "-2", "--format", "json"],
         ["steenrod", "--op", "Sq", "--k", "1", "--m", "10000000000000000000"],
         ["gpoly", "99999999999999999999999", "4"],
         ["fpoly", "--lambda", "[1]", "--mu", "[1]", "--n", "10000000000000000000"],
@@ -322,23 +328,95 @@ def test_outputs_are_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+class _FailingStdout:
+    """A stdout that takes ``room`` characters, then raises ``error``.  With
+    room None every write succeeds and flush raises, as a buffered stream
+    does when the whole output fits its buffer."""
 
+    def __init__(self, room, error):
+        self.room, self.error, self.text = room, error, ""
+
+    def write(self, s):
+        if self.room is not None and len(self.text) + len(s) > self.room:
+            raise self.error
+        self.text += s
+        return len(s)
+
+    def flush(self):
+        if self.room is None:
+            raise self.error
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--weight", "6", "--inverse"],
+    ["matrix", "--weight", "6", "--format", "csv"],
+    ["matrix", "--weight", "6", "--inverse", "--format", "json"],
+    ["row", "--lambda", "1^6", "--format", "json"],
+    ["hpoly", "30"],
+    ["verify", "--max-weight", "2"],
+])
+def test_output_errors_exit_2_without_traceback(capsys, monkeypatch, argv):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    size = len(invoke(capsys, *argv)[1])
+    # the last flush fails, the first write fails, a write halfway through fails
+    for room in (None, 0, size // 2):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(room, full))
+        assert run(argv) == 2, (argv, room)
+        assert capsys.readouterr().err == \
+            f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_closed_pipe_stops_the_matrix_work(capsys, monkeypatch, fmt):
+    # rows are computed only as they are written, so a stdout that fails on
+    # its first write leaves the strip engine's memo nearly empty
+    from invkostka import clear_caches
+    from invkostka.inverse import _duan_recurse
+
+    clear_caches()
+    inverse_kostka_matrix(12)
+    full_memo = _duan_recurse.cache_info().currsize
+    clear_caches()
+    pipe = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(0, pipe))
+    code = run(["matrix", "--weight", "12", "--inverse", "--format", fmt])
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write the output: Broken pipe\n")
+    assert _duan_recurse.cache_info().currsize < full_memo / 10
+
+
+def _module_command(argv, **kwargs):
+    """Run ``python -m invkostka ARGV`` in a child process on this package,
+    installed or not."""
     import invkostka
 
-    # the child must import the same package, installed or not
     src = str(Path(invkostka.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "invkostka", "entry", "--lambda", "[1,2]",
-         "--mu", "[1,1,1]"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "invkostka", *argv], text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def test_module_entry_point():
+    proc = _module_command(["entry", "--lambda", "[1,2]", "--mu", "[1,1,1]"],
+                           capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == "-2\n"
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = _module_command(["matrix", "--weight", "12", "--inverse"],
+                               stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write the output: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_exits_2_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = _module_command(["matrix", "--weight", "8", "--inverse"],
+                               stdout=full, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == \
+        (2, f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n")
