@@ -145,22 +145,22 @@ class Partition:
 
 def distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Yield the distinct rearrangements of a multiset, in lexicographic order."""
-    counts = [[v, len(list(g))] for v, g in groupby(sorted(values))]
-    n = len(values)
-    out = [0] * n
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(out)
+    out = sorted(values)
+    while True:
+        yield tuple(out)
+        # the longest non-increasing suffix is already last in its order:
+        # raise the entry before it to the next larger suffix value, then
+        # put the suffix back in ascending order
+        i = len(out) - 2
+        while i >= 0 and out[i] >= out[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for entry in counts:
-            if entry[1]:
-                entry[1] -= 1
-                out[pos] = entry[0]
-                yield from rec(pos + 1)
-                entry[1] += 1
-
-    yield from rec(0)
+        j = len(out) - 1
+        while out[j] <= out[i]:
+            j -= 1
+        out[i], out[j] = out[j], out[i]
+        out[i + 1 :] = reversed(out[i + 1 :])
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
-"""Closed forms against the recurrence engine, and the h/g polynomial
-machinery with its frozen golden values."""
+"""Closed forms and the h/g polynomial machinery: examples, domain errors,
+the sweeps that reach past the acceptance criteria, and the transfer-matrix
+route.  The lemma 5/6, g closed-form, golden h and matrix-form sweeps are
+acceptance criteria 1, 6 and 7."""
 
 import pytest
 
@@ -22,28 +24,11 @@ from invkostka.unipoly import UniPolynomial
 
 P = Partition
 
-GOLDEN_H = {
-    25: [0, 0, 36, 0, 0, -252, 0, 0, 165, 0, 0, -12],
-    26: [0, -9, 0, 0, 210, 0, 0, -330, 0, 0, 66, 0, 0, -1],
-    27: [1, 0, 0, -120, 0, 0, 462, 0, 0, -220, 0, 0, 13],
-    28: [0, 0, 45, 0, 0, -462, 0, 0, 495, 0, 0, -78, 0, 0, 1],
-    29: [0, -10, 0, 0, 330, 0, 0, -792, 0, 0, 286, 0, 0, -14],
-    30: [1, 0, 0, -165, 0, 0, 924, 0, 0, -715, 0, 0, 91, 0, 0, -1],
-}
-
-
 def test_column_entry_formula_examples():
     assert lemma5(P([1, 2])) == -2
     assert lemma5(P([3])) == 1
     assert lemma5(P([1, 1, 1])) == 1
     assert lemma5(P()) == 1
-
-
-def test_column_entry_formula_sweep():
-    for m in range(0, 11):
-        mu = P([1] * m)
-        for lam in enumerate_partitions(m):
-            assert lemma5(lam) == inv_kostka_duan(lam, mu), lam
 
 
 def test_hook_column_formula_examples():
@@ -53,14 +38,6 @@ def test_hook_column_formula_examples():
         lemma6(P([3]), 0)
     with pytest.raises(FormulaDomainError):
         lemma6(P([3]), 4)
-
-
-def test_hook_column_formula_sweep():
-    for m in range(1, 11):
-        for a in range(1, m + 1):
-            mu = P([1] * (m - a) + [a])
-            for lam in enumerate_partitions(m):
-                assert lemma6(lam, a) == inv_kostka_duan(lam, mu), (lam, a)
 
 
 def test_two_row_tail_formula_examples():
@@ -136,12 +113,6 @@ def test_g_closed_form_example():
     assert corollary5(2, 1) == UniPolynomial([3, -1, -1])
 
 
-def test_g_closed_form_matches_recurrence():
-    for k in range(0, 7):
-        for l in range(0, k + 1):
-            assert corollary5(k, l) == g_polynomial(k, l), (k, l)
-
-
 def test_g_closed_form_domain():
     with pytest.raises(FormulaDomainError):
         corollary5(1, 2)
@@ -160,11 +131,6 @@ def test_h_polynomial_base_cases():
         h_polynomial(-1)
 
 
-def test_h_polynomial_golden_values():
-    for b, coeffs in GOLDEN_H.items():
-        assert h_polynomial(b) == UniPolynomial(coeffs), b
-
-
 def test_h30_mod_3():
     got = h_polynomial(30).reduce_mod(3)
     assert got == UniPolynomial([1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 0, 0, 2])
@@ -176,18 +142,6 @@ def test_h_coefficients_match_engine():
         assert h_coefficient_check(b)
     with pytest.raises(ValueError):
         h_coefficient_check(6)  # the bound caps the sweep at weight 10
-
-
-def test_h_matrix_form_agrees_with_recurrence():
-    for b in range(6, 41):
-        assert h_polynomial_matrix(b) == h_polynomial(b), b
-
-
-def test_h_matrix_form_agrees_at_b7():
-    # smallest odd case: both forms reduce to the same explicit polynomial
-    expected = UniPolynomial([0, 0, 3])
-    assert h_polynomial(7) == expected
-    assert h_polynomial_matrix(7) == expected
 
 
 def test_h_matrix_form_domain():

@@ -1,5 +1,7 @@
 """The three entry engines, chain enumerations, and matrix builders."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,16 +94,6 @@ def test_tail_reduction_preserves_entries():
                 assert inv_kostka_duan(rl, rm) == inv_kostka_duan(lam, mu)
 
 
-def test_engines_agree_small_sweep():
-    for m in range(0, 7):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                a = inv_kostka_duan(lam, mu)
-                assert a == inv_kostka_er(lam, mu), (lam, mu)
-                assert a == inv_kostka_bruteforce(lam, mu), (lam, mu)
-
-
 @given(partitions, partitions)
 def test_engines_agree_random_pairs(lam, mu):
     if lam.weight != mu.weight:
@@ -130,12 +122,18 @@ def test_solution_pairs_structure():
     assert sum(sp.sign for sp in pairs) == -2
 
 
+@lru_cache(maxsize=None)
+def _rearrangements(padded):
+    """The filter's candidates depend only on (lambda, n): build them once."""
+    return tuple(distinct_permutations(padded))
+
+
 def _reference_solutions(lam, mu, n):
     """Filter every distinct rearrangement w of the padded lambda, keeping it
     when target - w is a rearrangement of the staircase 0..n-1."""
     target = [m + d for d, m in enumerate(mu.padded(n))]
     out = []
-    for w in distinct_permutations(lam.padded(n)):
+    for w in _rearrangements(lam.padded(n)):
         diff = [t - x for t, x in zip(target, w)]
         if sorted(diff) == list(range(n)):
             length = sum(a > b for i, a in enumerate(diff) for b in diff[i + 1 :])
@@ -164,17 +162,6 @@ def test_f_polynomial_examples():
     assert f(-1) == 2
     assert f_polynomial(P(), P()) == UniPolynomial([1])
     assert f_polynomial(P([2]), P([1, 1])) == UniPolynomial([0, -1])
-
-
-def test_f_polynomial_evaluations_match_engines():
-    """f(1) is the entry; f(-1) counts the solutions; weight <= 5."""
-    for m in range(0, 6):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                f = f_polynomial(lam, mu)
-                assert f(1) == inv_kostka_duan(lam, mu), (lam, mu)
-                assert f(-1) == len(solution_pairs(lam, mu)), (lam, mu)
 
 
 def test_chains_for_known_pair():
@@ -208,16 +195,6 @@ def test_chain_values_rearrange_row_parts():
                     assert sorted(c.b_values) == list(lam.parts)
                 for c in enumerate_chains_T(lam, mu):
                     assert sorted(c.a_values) == list(lam.parts)
-
-
-def test_chain_signed_sums_equal_entries():
-    for m in range(0, 7):
-        parts = enumerate_partitions(m)
-        for lam in parts:
-            for mu in parts:
-                k = inv_kostka_duan(lam, mu)
-                assert sum(c.sign for c in enumerate_chains_S(lam, mu)) == k
-                assert sum(c.sign for c in enumerate_chains_T(lam, mu)) == k
 
 
 # The chain enumerators as they were before they unrolled the engines' own
@@ -312,12 +289,6 @@ def test_matrix_weight_two():
     assert k.entry(P([2]), P([1, 1])) == 1
 
 
-def test_matrix_product_is_identity():
-    for m in range(0, 8):
-        assert kostka_matrix(m).matmul(inverse_kostka_matrix(m)).is_identity()
-        assert inverse_kostka_matrix(m).matmul(kostka_matrix(m)).is_identity()
-
-
 def test_matrix_rows_match_independent_routes():
     # the whole-weight builders skip the public entry point; check them
     # against the oracle, the er engine and the row builder
@@ -372,16 +343,3 @@ def test_one_step_expansion_identity_sweep():
                 assert verify_corollary1(lam, mu).equal, (lam, mu)
 
 
-def test_example_identity_subentries():
-    # lambda=(2,3), mu=(1,1,1,2): the two one-step expansions spell out as
-    #   entry((3),(1,1,1)) - entry((2),(1,1))
-    #     = -entry((3),(1,2)) + entry((2),(2))
-    lhs = inv_kostka_duan(P([3]), P([1, 1, 1])) - inv_kostka_duan(P([2]), P([1, 1]))
-    rhs = -inv_kostka_duan(P([3]), P([1, 2])) + inv_kostka_duan(P([2]), P([2]))
-    assert lhs == rhs == 2
-
-    # lambda=(1,2,2), mu=(1,1,1,2):
-    #   entry((1,2),(1,1,1)) = entry((2,2),(1,1,2)) - entry((1,2),(1,2))
-    lhs = inv_kostka_duan(P([1, 2]), P([1, 1, 1]))
-    rhs = inv_kostka_duan(P([2, 2]), P([1, 1, 2])) - inv_kostka_duan(P([1, 2]), P([1, 2]))
-    assert lhs == rhs == -2

@@ -1,7 +1,7 @@
 """Partition toolkit: parsing, enumeration order, strips, reductions."""
 
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +21,7 @@ from invkostka.partitions import (
     vertical_strip_successors,
 )
 from invkostka.inverse import inv_kostka_duan
-from invkostka.symfunc import _hstrip_predecessors
+from invkostka.symfunc import _hstrip_predecessors, monomial_symmetric
 
 partitions = st.builds(
     Partition, st.lists(st.integers(min_value=1, max_value=8), max_size=6)
@@ -131,6 +131,15 @@ def test_distinct_permutations_count(values):
     counts = {v: values.count(v) for v in set(values)}
     expected = factorial(len(values)) // prod(factorial(c) for c in counts.values())
     assert len(out) == expected
+    assert out == sorted(set(permutations(values)))
+
+
+def test_distinct_permutations_of_a_long_vector():
+    # one rearrangement per position of the single 1; the walk must not
+    # go one stack frame deeper per position
+    poly = monomial_symmetric(Partition([1]), 1100)
+    assert len(poly.terms) == 1100
+    assert all(sum(e) == 1 for e in poly.terms)
 
 
 def test_remove_part_takes_distinct_value_index():

@@ -1,10 +1,12 @@
 """Symmetric-polynomial kernel: the exact ground truth everything else
 is checked against.
 
-The load-bearing identities: the alternant quotient definition of Schur
-polynomials, the coefficient-extraction recovery of Schur coefficients,
-the last-variable elimination law, column-strip multiplication, and the
-unitriangularity of the tableau-count matrix.
+Here: Schur polynomials and sparse products against recursive reference
+implementations, the coefficient-extraction recovery of Schur
+coefficients, the last-variable elimination law on random polynomials, and
+the unitriangularity of the tableau-count matrix.  The exhaustive
+alternant-quotient, elimination and column-strip (Pieri) sweeps are
+acceptance criterion 10.
 """
 
 import random
@@ -139,17 +141,6 @@ def test_schur_specializes_to_dimension_count():
     assert sum(s.terms.values()) == 6
 
 
-def test_alternant_quotient_identity():
-    """s_lam(n) * a_delta(n) == a_(lam+delta)(n) for weight <= 6, n <= 5."""
-    for n in range(1, 6):
-        a_delta = alternant(staircase(n))
-        for m in range(0, 7):
-            for lam in (p for p in enumerate_partitions(m) if p.length <= n):
-                lhs = schur(lam, n) * a_delta
-                alpha = tuple(x + d for x, d in zip(lam.padded(n), staircase(n)))
-                assert lhs == alternant(alpha), (lam, n)
-
-
 def test_schur_coefficient_recovery():
     # if h = sum of c_lam s_lam, each c_lam is the coefficient of
     # x^(lam+delta) in h * a_delta
@@ -228,22 +219,6 @@ def test_eliminate_last_collects_one_exponent():
     assert eliminate_last(h, 5).terms == {}
     with pytest.raises(ValueError):
         eliminate_last(SparsePolynomial(1, {(2,): 1}), 0)
-
-
-def test_elimination_law_on_monomial_bases():
-    """Coefficient extraction factors through last-variable elimination,
-    exhaustively on monomial symmetric polynomials of degree <= 6, n <= 4."""
-    for n in range(2, 5):
-        for m in range(0, 7):
-            for lam in (p for p in enumerate_partitions(m) if p.length <= n):
-                h = monomial_symmetric(lam, n)
-                seen_last = {e[-1] for e in h.terms}
-                for alpha in list(h.terms) + [(m,) * n]:
-                    reduced = eliminate_last(h, alpha[-1])
-                    assert h.coefficient(alpha) == reduced.coefficient(alpha[:-1])
-                for r in range(0, m + 2):
-                    if r not in seen_last:
-                        assert not eliminate_last(h, r)
 
 
 @given(
@@ -327,19 +302,6 @@ def test_pieri_multiply_column_example():
 def test_pieri_multiply_by_empty_column():
     e = SchurExpansion({P([1, 2]): 4})
     assert pieri_multiply(e, 0) == e
-
-
-def test_pieri_matches_polynomial_multiplication():
-    """Column-strip multiplication agrees with multiplying the actual
-    polynomials, for all shapes of weight <= 6."""
-    for m in range(0, 7):
-        for lam in enumerate_partitions(m):
-            for r in range(0, 4):
-                out = pieri_multiply(SchurExpansion({lam: 1}), r)
-                n = max(1, m + r, max((p.length for p in out.support()), default=1))
-                lhs = schur(lam, n) * elementary_symmetric(r, n)
-                rhs = expansion_to_polynomial(out, n)
-                assert lhs == rhs, (lam, r)
 
 
 def test_expansion_to_polynomial_is_the_signed_sum_of_schur_polynomials():

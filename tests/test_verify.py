@@ -7,7 +7,6 @@ import pytest
 
 import invkostka.verify as verify
 from invkostka.inverse import kostka_matrix
-from invkostka.partitions import Partition
 from invkostka.verify import SuiteResult, exact_integer_inverse, verify_suite
 
 
@@ -25,23 +24,29 @@ def test_every_suite_passes_and_counts_its_checks():
     ]
 
 
-def test_a_broken_engine_is_reported_with_its_counterexample(monkeypatch):
-    monkeypatch.setattr(verify, "inv_kostka_er", lambda lam, mu: 7)
+@pytest.mark.parametrize(
+    "name, fake, detail, also_failing",
+    [
+        # the structure suite sends the tail-reduced pair to er as well
+        ("inv_kostka_er", lambda lam, mu: 7, "duan=1 er=7 brute=1 matrix-oracle=1",
+         [("structure", 1, "top-part reduction changed the entry at ([], [])")]),
+        # the stability suite only asks that brute force ignore n
+        ("inv_kostka_bruteforce", lambda lam, mu, n=None: 7, "duan=1 er=1 brute=7 matrix-oracle=1", []),
+        ("exact_integer_inverse", lambda entries: [[7] * len(row) for row in entries],
+         "duan=1 er=1 brute=1 matrix-oracle=7", []),
+    ],
+    ids=["er", "brute", "oracle"],
+)
+def test_a_broken_engine_is_reported_with_its_counterexample(
+    monkeypatch, name, fake, detail, also_failing
+):
+    monkeypatch.setattr(verify, name, fake)
     report = verify_suite(2)
     assert not report.ok
-    first = report.suites[0]
-    assert (first.name, first.passed, first.checked) == ("engine_agreement", False, 0)
-    assert first.detail == f"duan=1 er=7 at ({Partition()}, {Partition()})"
-    # the structure suite sends the tail-reduced pair to er as well
-    assert [s.name for s in report.suites if not s.passed] == ["engine_agreement", "structure"]
-    structure = report.suites[4]
-    assert (structure.checked, structure.detail) == (
-        1,
-        "top-part reduction changed the entry at ([], [])",
-    )
-    assert report.summary_lines()[0] == (
-        "engine_agreement: FAIL (0 checks) -- duan=1 er=7 at ([], [])"
-    )
+    detail += " at ([], [])"
+    failing = [(s.name, s.checked, s.detail) for s in report.suites if not s.passed]
+    assert failing == [("engine_agreement", 0, detail)] + also_failing
+    assert report.summary_lines()[0] == f"engine_agreement: FAIL (0 checks) -- {detail}"
     assert report.summary_lines()[-1] == "verify: FAILURES (max weight 2)"
 
 
