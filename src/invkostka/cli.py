@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .closedforms import g_polynomial, h_polynomial
 from .inverse import (
     _BRUTE_MAX_N,
+    _brute_in_reach,
     _duan_entry,
     _kostka_entry,
     _weight_rows,
@@ -103,7 +104,7 @@ def _cmd_entry(ns) -> CommandOutput:
     # looked up on each call, so that a rebound module global takes effect
     engines = {"duan": inv_kostka_duan, "er": inv_kostka_er, "brute": inv_kostka_bruteforce}
     if ns.engine == "all":
-        if max(1, lam.length, mu.length) > _BRUTE_MAX_N:
+        if not _brute_in_reach(lam, mu):
             del engines["brute"]
         values = {name: engine(lam, mu) for name, engine in engines.items()}
         if len(set(values.values())) != 1:

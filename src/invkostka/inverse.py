@@ -154,6 +154,11 @@ def _er_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
 _BRUTE_MAX_N = 7
 
 
+def _brute_in_reach(lam: Partition, mu: Partition) -> bool:
+    """Whether a cross-check should run brute force on this pair."""
+    return max(1, lam.length, mu.length) <= _BRUTE_MAX_N
+
+
 @dataclass(frozen=True)
 class SolutionPair:
     """One solution (w, sigma) of  w + sigma(staircase) = mu + staircase.

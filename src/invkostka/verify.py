@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .inverse import (
-    _BRUTE_MAX_N,
+    _brute_in_reach,
     cancellation_zero,
     enumerate_chains_S,
     enumerate_chains_T,
@@ -39,7 +39,7 @@ from .inverse import (
     tail_reduction,
     verify_corollary1,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import enumerate_partitions
 from .steenrod import steenrod_Sq, wu_rhs
 
 
@@ -130,7 +130,7 @@ def _suite_engine_agreement(max_weight: int):
         want = next(oracles[m])
         a = inv_kostka_duan(lam, mu)
         b = inv_kostka_er(lam, mu)
-        in_cap = max(1, lam.length, mu.length) <= _BRUTE_MAX_N
+        in_cap = _brute_in_reach(lam, mu)
         c = inv_kostka_bruteforce(lam, mu) if in_cap else want  # no vote past the cap
         if a == b == c == want:
             yield None

@@ -1,5 +1,10 @@
-"""End-to-end CLI behaviour: frozen outputs for every subcommand and
-format, exit codes, and determinism across reruns."""
+"""End-to-end CLI behaviour that a golden record cannot hold.
+
+Frozen output bytes and exit codes live in the golden transcript
+(``golden/cli_transcript.txt``, replayed by ``test_golden_cli.py``).  This
+file keeps agreement with the library, monkeypatched engines, memo state,
+output errors, the subprocess entry point, determinism across reruns, and
+the few outputs and exit codes that no record holds."""
 
 import csv
 import errno
@@ -29,13 +34,6 @@ def test_entry_plain(capsys):
     assert (code, out, err) == (0, "-2\n", "")
 
 
-def test_entry_all_engines_agree(capsys):
-    code, out, err = invoke(
-        capsys, "entry", "--lambda", "[1,2]", "--mu", "[1,1,1]", "--engine", "all"
-    )
-    assert (code, out, err) == (0, "-2\n", "")
-
-
 def test_entry_json(capsys):
     code, out, _ = invoke(
         capsys, "entry", "--lambda", "[1,2]", "--mu", "[1,1,1]", "--format", "json"
@@ -59,42 +57,6 @@ def test_entry_csv(capsys):
     )
     assert code == 0
     assert out == 'lambda,mu,engine,value\n"[1,2]","[1,1,1]",duan,-2\n'
-
-
-def test_row_plain(capsys):
-    code, out, _ = invoke(capsys, "row", "--lambda", "[1,2]")
-    assert code == 0
-    assert out == "[1,2] 1\n[1,1,1] -2\n"
-
-
-def test_matrix_plain(capsys):
-    code, out, _ = invoke(capsys, "matrix", "--weight", "3", "--inverse")
-    assert code == 0
-    assert out == (
-        "columns: [3] [1,2] [1,1,1]\n"
-        "[3]: 1 -1 1\n"
-        "[1,2]: 0 1 -2\n"
-        "[1,1,1]: 0 0 1\n"
-    )
-
-
-def test_matrix_csv(capsys):
-    code, out, _ = invoke(
-        capsys, "matrix", "--weight", "3", "--inverse", "--format", "csv"
-    )
-    assert code == 0
-    assert out == (
-        ',[3],"[1,2]","[1,1,1]"\n'
-        "[3],1,-1,1\n"
-        '"[1,2]",0,1,-2\n'
-        '"[1,1,1]",0,0,1\n'
-    )
-
-
-def test_matrix_without_inverse_is_unitriangular(capsys):
-    code, out, _ = invoke(capsys, "matrix", "--weight", "3")
-    assert code == 0
-    assert out.splitlines()[1] == "[3]: 1 1 1"
 
 
 def _built_matrix_text(mat, query, fmt):
@@ -128,73 +90,6 @@ def test_matrix_formats_agree_with_the_library(capsys):
                 assert got == (0, _built_matrix_text(mat, query, fmt), ""), (m, inverse, fmt)
 
 
-def test_chains_strip_family(capsys):
-    code, out, _ = invoke(
-        capsys, "chains", "--family", "S", "--lambda", "[1,2]", "--mu", "[1,1,1]"
-    )
-    assert code == 0
-    assert out == (
-        "-1 values=2,1 path=[] <- [1,1](j=1) <- [1,1,1](j=0)\n"
-        "-1 values=1,2 path=[] <- [1](j=0) <- [1,1,1](j=1)\n"
-        "count: 2\n"
-        "signed sum: -2\n"
-    )
-
-
-def test_chains_part_family(capsys):
-    code, out, _ = invoke(
-        capsys, "chains", "--family", "T", "--lambda", "[1,2]", "--mu", "[1,1,1]"
-    )
-    assert code == 0
-    assert out.splitlines()[-2:] == ["count: 2", "signed sum: -2"]
-
-
-def test_chains_json_signed_sum(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "chains", "--family", "S", "--lambda", "[1,2]", "--mu", "[1,1,1]",
-        "--format", "json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["result"]["signed_sum"] == "-2"
-    assert [c["sign"] for c in doc["result"]["chains"]] == [-1, -1]
-
-
-def test_fpoly_plain(capsys):
-    code, out, _ = invoke(capsys, "fpoly", "--lambda", "[1,2]", "--mu", "[1,1,1]")
-    assert (code, out) == (0, "-2*t\n")
-
-
-def test_hpoly_golden(capsys):
-    code, out, _ = invoke(capsys, "hpoly", "30")
-    assert (code, out) == (0, "1 - 165*t^3 + 924*t^6 - 715*t^9 + 91*t^12 - t^15\n")
-
-
-def test_hpoly_mod(capsys):
-    code, out, _ = invoke(capsys, "hpoly", "30", "--mod", "3")
-    assert (code, out) == (0, "1 + 2*t^9 + t^12 + 2*t^15\n")
-
-
-def test_hpoly_csv(capsys):
-    code, out, _ = invoke(capsys, "hpoly", "4", "--format", "csv")
-    assert (code, out) == (0, "power,coeff\n0,0\n1,0\n2,1\n")
-
-
-def test_hpoly_json_coeffs_are_strings(capsys):
-    code, out, _ = invoke(capsys, "hpoly", "30", "--format", "json")
-    assert code == 0
-    coeffs = json.loads(out)["result"]["coeffs"]
-    assert coeffs[0] == "1"
-    assert coeffs[3] == "-165"
-    assert all(isinstance(c, str) for c in coeffs)
-
-
-def test_gpoly_plain(capsys):
-    code, out, _ = invoke(capsys, "gpoly", "2", "1")
-    assert (code, out) == (0, "3 - t - t^2\n")
-
-
 def test_steenrod_square_json(capsys):
     code, out, _ = invoke(
         capsys, "steenrod", "--op", "Sq", "--k", "1", "--m", "2", "--format", "json"
@@ -205,52 +100,20 @@ def test_steenrod_square_json(capsys):
     assert doc["result"] == [{"partition": [1, 2], "coeff": "1"}]
 
 
-def test_steenrod_odd_prime_default(capsys):
-    code, out, _ = invoke(capsys, "steenrod", "--op", "P", "--k", "1", "--m", "1")
-    assert code == 0
-    assert out == "[3] 1\n[1,2] 2\n[1,1,1] 1\n"
-
-
-def test_verify_passes(capsys):
-    code, out, _ = invoke(capsys, "verify", "--max-weight", "3")
-    assert code == 0
-    assert out.splitlines()[-1] == "verify: all suites passed (max weight 3)"
-
-
 def test_usage_errors_exit_1(capsys):
-    for argv in (
-        ["entry", "--lambda", "[1,2", "--mu", "[1,1,1]"],
-        ["entry", "--lambda", "[1,2]", "--mu", "[3]", "--engine", "fast"],
-        ["steenrod", "--op", "Sq", "--k", "1", "--m", "2", "--p", "5"],
-        ["entry", "--lambda", "[1,2]"],
-        ["nonsense"],
-        ["entry", "--lambda", "1^10000000000000000000", "--mu", "1"],
-    ):
-        code, out, err = invoke(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert err.startswith("usage error:"), argv
-
-
-def test_bad_partition_message_names_the_literal(capsys):
-    _, _, err = invoke(capsys, "entry", "--lambda", "[1,2", "--mu", "[3]")
-    assert "invalid partition value" in err
-    assert "[1,2" in err
+    code, out, err = invoke(capsys, "entry", "--lambda", "1^10000000000000000000", "--mu", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
 
 
 def test_domain_errors_exit_2(capsys):
     for argv in (
-        ["entry", "--lambda", "[1,2]", "--mu", "[1,1,1,1]"],
-        ["gpoly", "--", "-1", "0"],
-        ["hpoly", "30", "--mod", "1"],
-        ["hpoly", "--", "-1"],
-        ["steenrod", "--op", "P", "--k", "1", "--m", "2", "--p", "4"],
-        ["matrix", "--weight", "-2"],
         ["matrix", "--weight", "-2", "--inverse", "--format", "csv"],
         ["matrix", "--weight", "-2", "--format", "json"],
         ["steenrod", "--op", "Sq", "--k", "1", "--m", "10000000000000000000"],
         ["gpoly", "99999999999999999999999", "4"],
         ["fpoly", "--lambda", "[1]", "--mu", "[1]", "--n", "10000000000000000000"],
+        ["steenrod", "--op", "P", "--k", "1", "--m", "2", "--p", "9"],  # odd, not prime
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
@@ -265,22 +128,6 @@ def test_engine_all_skips_brute_force_beyond_its_cap(capsys, monkeypatch):
     assert (code, out, calls) == (0, "1\n", [])
     code, out, _ = invoke(capsys, "entry", "--lambda", "1^7", "--mu", "1^7", "--engine", "all")
     assert (code, out, calls) == (0, "1\n", [Partition([1] * 7)])
-
-
-def test_weight_mismatch_message(capsys):
-    _, _, err = invoke(capsys, "entry", "--lambda", "[1,2]", "--mu", "[1,1,1,1]")
-    assert err == "error: [1,2] and [1,1,1,1] have different weights\n"
-
-
-def test_engine_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "inv_kostka_er", lambda lam, mu: 999)
-    code, out, err = invoke(
-        capsys, "entry", "--lambda", "[1,2]", "--mu", "[1,1,1]", "--engine", "all"
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("engine disagreement:")
-    assert "er=999" in err
 
 
 def test_deep_recursions_answer_without_traceback(capsys):

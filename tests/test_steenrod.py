@@ -45,6 +45,10 @@ def test_prime_validation():
         steenrod_P(1, 2, 4)
     with pytest.raises(ValueError):
         steenrod_P(1, 2, 1)
+    for composite in (9, 15, 25, 49, 1_000_001):  # odd; 1_000_001 = 101 * 9901
+        with pytest.raises(ValueError):
+            steenrod_P(1, 2, composite)
+    assert steenrod_P(0, 1, 1_000_003) == ModPExpansion(1_000_003, {P([1]): 1})
 
 
 def test_degree_bounds():

@@ -50,6 +50,21 @@ def test_a_broken_engine_is_reported_with_its_counterexample(
     assert report.summary_lines()[-1] == "verify: FAILURES (max weight 2)"
 
 
+def test_a_brute_force_that_depends_on_n_fails_only_the_stability_suite(monkeypatch):
+    brute = verify.inv_kostka_bruteforce
+
+    def off_past_the_least_n(lam, mu, n=None):
+        value = brute(lam, mu, n)
+        return value if n in (None, max(1, lam.length, mu.length)) else value + 1
+
+    monkeypatch.setattr(verify, "inv_kostka_bruteforce", off_past_the_least_n)
+    report = verify_suite(2)
+    failing = [(s.name, s.checked, s.detail) for s in report.suites if not s.passed]
+    assert failing == [
+        ("variable_count_stability", 1, "value depends on n at ([1], [1]): [1, 2]")
+    ]
+
+
 def test_suites_are_timed_without_changing_the_report():
     report = verify_suite(3)
     assert all(s.elapsed > 0 for s in report.suites)
