@@ -5,11 +5,12 @@ result in one of three formats.  ``matrix`` checks its weight, then writes
 each row as soon as it is computed, so it never holds the whole matrix;
 the other subcommands render a finished result.  Exit codes: 0 on success,
 1 on a usage error (bad flags, partition literal unparseable or too large
-to represent), 2 on a computation domain error (weight mismatch, formula
-outside its validity range, input too deep for the recursion limit, any
-other number too large to represent) or when the output cannot be written
-(a closed pipe, a full disk), 3 when a verification fails (self-check
-suites, or engine disagreement under ``entry --engine all``).
+to represent or to hold), 2 on a computation domain error (weight
+mismatch, formula outside its validity range, input too deep for the
+recursion limit, any other number too large to represent) or when the
+output cannot be written (a closed pipe, a full disk), 3 when a
+verification fails (self-check suites, or engine disagreement under
+``entry --engine all``).
 
 Output is deterministic: same arguments, same bytes.  JSON output is
 ``{"query": ..., "result": ...}``, where ``query`` echoes the parsed
@@ -32,8 +33,6 @@ from .closedforms import g_polynomial, h_polynomial
 from .inverse import (
     _BRUTE_MAX_N,
     _brute_in_reach,
-    _duan_entry,
-    _kostka_entry,
     _weight_rows,
     enumerate_chains_S,
     enumerate_chains_T,
@@ -125,7 +124,7 @@ def _cmd_row(ns) -> CommandOutput:
 def _cmd_matrix(ns) -> None:
     # the labels come first, so a bad weight is refused before any output;
     # then each row is written as soon as it is computed
-    labels, rows = _weight_rows(ns.weight, _duan_entry if ns.inverse else _kostka_entry)
+    labels, rows = _weight_rows(ns.weight, ns.inverse)
     _MATRIX_WRITERS[ns.format](sys.stdout, ns, labels, rows)
 
 

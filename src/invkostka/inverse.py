@@ -15,18 +15,29 @@ strip tables (duan), the ER reduction kernel (er), and the inversion count
 last parts differ, and that one pair decides the order.  The toolkit's
 compare serves only ``cancellation_zero`` and ``last_nonzero_compare``.
 
-Each recurrence step is a generator of signed (sign, j, lam', mu') moves:
-the memoized engine sums its own entries over them from its own frame, so
-a step adds no stack depth.  The same moves serve twice more: the S and T
-chains, whose signed counts reproduce the entry, unroll them down to the
-empty pair, and the Corollary 1 check sums strip-engine entries over one
-move of each step.  On top of these sit the signed-solution polynomial f
-and labeled matrix builders for whole-weight tables.  The matrix and row
-builders call the memoized entry on part tuples directly: every partition
-they enumerate has the weight they were given, so they skip the per-entry
-weight check of the public entry functions.  The matrix builders and the
-CLI's ``matrix`` command share one lazy row generator, so the CLI can write
-each row as soon as it is computed.
+The strip engine runs on partition ids.  Every part tuple it meets is
+interned once into a table beside it, which keeps per id the largest part,
+the length, the id without the largest part and, filled on first use, the
+one-part removals and the strip predecessors as ids.  So the engine's memo
+hashes two small ints, and its step reads stored ids instead of slicing and
+hashing tuples.  The public entry points intern their arguments once, and
+the row and matrix builders intern the partitions of a weight once.  Only
+duan uses the table; er and brute run on part tuples.
+
+Each recurrence step is a generator of signed (sign, j, lam', mu') moves,
+written once: on ids for duan, on part tuples for er.  The memoized engine
+sums its own entries over them from its own frame, so a step adds no stack
+depth.  The same moves serve twice more: the S and T chains, whose signed
+counts reproduce the entry, unroll them down to the empty pair (the S walk
+decodes ids to part tuples only to record each step), and the
+Corollary 1 check sums strip-engine entries over one move of each step.  On
+top of these sit the signed-solution polynomial f and labeled matrix
+builders for whole-weight tables.  The matrix and row builders call the
+memoized entry on ids directly: every partition they enumerate has the
+weight they were given, so they skip the per-entry weight check of the
+public entry functions.  The matrix builders and the CLI's ``matrix``
+command share one lazy row generator, so the CLI can write each row as soon
+as it is computed.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from functools import lru_cache
 
 from .partitions import (
     Partition,
+    _enumerate_cached,
     _er_reduce,
     _inversions,
     _last_nonzero_cmp,
@@ -65,53 +77,148 @@ def tail_reduction(lam: Partition, mu: Partition) -> tuple[Partition, Partition]
 
 
 # ---------------------------------------------------------------------------
+# partition ids for the strip engine
+
+# Id 0 is the empty partition; its largest part reads as 0.  Any other id is
+# keyed by (id without its largest part, largest part), so interning is one
+# step per part and the table holds no tuple per prefix: a deep literal such
+# as 1^5000 costs one entry per part.  The tuples that were interned whole
+# are looked up again with one hash.  Per id, the columns hold its largest
+# part, its length and the id without its largest part; then, filled on
+# first use, its one-part removals as ((v, id of lam minus one v), ...) with
+# v ascending, and its vertical strip predecessors as {strip size: ids in
+# canonical order}; None until then.
+_id_of: dict[tuple[int, int], int] = {}
+_id_of_parts: dict[tuple[int, ...], int] = {}
+_top: list[int] = [0]
+_length: list[int] = [0]
+_rest: list[int] = [0]
+_removals: list[tuple[tuple[int, int], ...] | None] = [()]
+_preds: list[dict[int, tuple[int, ...]] | None] = [None]
+_ids_by_weight: dict[int, tuple[int, ...]] = {}
+
+
+def _intern(parts: tuple[int, ...]) -> int:
+    """The id of a sorted part tuple; each of its prefixes gets an id too."""
+    i = _id_of_parts.get(parts)
+    if i is not None:
+        return i
+    i = 0
+    for p in parts:
+        j = _id_of.get((i, p))
+        if j is None:
+            j = _id_of[i, p] = len(_top)
+            _top.append(p)
+            _length.append(_length[i] + 1)
+            _rest.append(i)
+            _removals.append(None)
+            _preds.append(None)
+        i = j
+    _id_of_parts[parts] = i
+    return i
+
+
+def _decode(i: int) -> tuple[int, ...]:
+    """The part tuple of an id."""
+    parts = []
+    while i:
+        parts.append(_top[i])
+        i = _rest[i]
+    parts.reverse()
+    return tuple(parts)
+
+
+def _clear_ids() -> None:
+    """Drop every id but the empty partition's.  A rebuilt table may give a
+    partition another id, so the memo over ids goes too."""
+    _duan_recurse.cache_clear()
+    _id_of.clear()
+    _id_of_parts.clear()
+    for column in (_top, _length, _rest, _removals, _preds):
+        del column[1:]
+    _preds[0] = None
+    _ids_by_weight.clear()
+
+
+# clear_caches() empties every module-level object with a cache_clear
+_intern.cache_clear = _clear_ids
+
+
+def _weight_ids(m: int) -> tuple[int, ...]:
+    """The ids of the partitions of m >= 0 in canonical order, interned once."""
+    ids = _ids_by_weight.get(m)
+    if ids is None:
+        ids = _ids_by_weight[m] = tuple(_intern(p.parts) for p in _enumerate_cached(m))
+    return ids
+
+
+def _removals_of(lam: int) -> tuple[tuple[int, int], ...]:
+    parts = _decode(lam)
+    found = tuple(  # one removal per distinct value, ascending
+        (v, _intern(parts[:j] + parts[j + 1 :]))
+        for j, v in enumerate(parts)
+        if j + 1 == len(parts) or parts[j + 1] != v
+    )
+    _removals[lam] = found
+    return found
+
+
+# ---------------------------------------------------------------------------
 # engine 1: peel the largest part of mu, remove vertical strips
 
 
 def inv_kostka_duan(lam: Partition, mu: Partition) -> int:
     check_same_weight(lam, mu)
-    return _duan_entry(lam.parts, mu.parts)
+    return _duan_entry(_intern(lam.parts), _intern(mu.parts))
 
 
-def _duan_entry(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    # memo key is the pair after tail reduction; the reduced form also makes
-    # the cancellation tests cheap
-    while lam and mu and lam[-1] == mu[-1]:
-        lam = lam[:-1]
-        mu = mu[:-1]
+def _duan_entry(lam: int, mu: int) -> int:
+    # memo key is the pair of ids after tail reduction; the reduced form also
+    # makes the cancellation tests cheap
+    while lam and _top[lam] == _top[mu]:
+        lam = _rest[lam]
+        mu = _rest[mu]
     if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
-    # now lam[-1] != mu[-1], so the last-nonzero order is decided there
-    if len(lam) > len(mu) or lam[-1] < mu[-1]:
+    # now the largest parts differ, so the last-nonzero order is decided there
+    if _length[lam] > _length[mu] or _top[lam] < _top[mu]:
         return 0
     return _duan_recurse(lam, mu)
 
 
 @lru_cache(maxsize=None)
-def _duan_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _duan_recurse(lam: int, mu: int) -> int:
     total = 0
     for sign, _, reduced, omega in _duan_moves(lam, mu):
         total += sign * _duan_entry(reduced, omega)
     return total
 
 
-def _duan_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
-    """One strip-removal step as (sign, j, lam', mu') moves: for each
+def _duan_moves(lam: int, mu: int):
+    """One strip-removal step on ids as (sign, j, lam', mu') moves: for each
     distinct part v of lam that is at least the largest part of mu, drop one
     v from lam and, from the rest of mu, a vertical strip of size
     j = v - max(mu), with sign (-1)^j."""
     if not mu:
         return  # nothing to peel
-    mu_max = mu[-1]
-    rest = mu[:-1]
-    for value in dict.fromkeys(lam):  # distinct part values, ascending
+    mu_max = _top[mu]
+    rest = _rest[mu]
+    preds = _preds[rest]
+    if preds is None:
+        preds = _preds[rest] = {}
+    removals = _removals[lam]
+    if removals is None:
+        removals = _removals_of(lam)
+    for value, reduced in removals:
         strip = value - mu_max
         if strip < 0:
             continue
-        j = lam.index(value)
-        reduced = lam[:j] + lam[j + 1 :]
+        omegas = preds.get(strip)
+        if omegas is None:
+            found = _strip_predecessors_raw(_decode(rest), strip)
+            omegas = preds[strip] = tuple(map(_intern, found))
         sign = -1 if strip % 2 else 1
-        for omega in _strip_predecessors_raw(rest, strip):
+        for omega in omegas:
             yield sign, strip, reduced, omega
 
 
@@ -281,31 +388,36 @@ class ChainT:
     sign: int
 
 
-def _chains(lam: Partition, mu: Partition, moves, chain):
-    """Unroll one recurrence step, ``moves`` (``_duan_moves`` or
-    ``_er_moves``), from (lam, mu) down to the empty pair.  A chain's sign is
-    the product of its move signs; each step records (mu^i, j) and, as its
-    value, the part of lam that the move spends.  Chains come in depth-first
-    order, each with its steps listed from the empty end."""
-    check_same_weight(lam, mu)
+def _chains(lam, mu, moves, chain, decode):
+    """Unroll one recurrence step, ``moves`` (``_duan_moves`` on ids or
+    ``_er_moves`` on part tuples), from (lam, mu), given in the form the step
+    takes, down to the empty pair; ``decode`` turns that form into parts.  A
+    chain's sign is the product of its move signs; each step records
+    (mu^i, j) and, as its value, the part of lam that the move spends.
+    Chains come in depth-first order, each with its steps listed from the
+    empty end."""
 
-    def walk(lam: tuple[int, ...], mu: tuple[int, ...], sign: int, steps: tuple):
+    def walk(lam, mu, sign: int, steps: tuple):
         if not lam:  # every move keeps the weights equal, so mu is empty too
             yield chain(tuple(s for s, _ in steps), tuple(v for _, v in steps), sign)
             return
+        recorded = Partition._from_sorted(decode(mu))
+        weight = sum(decode(lam))
         for s, j, reduced, omega in moves(lam, mu):
-            step = ((Partition._from_sorted(mu), j), sum(lam) - sum(reduced))
+            step = ((recorded, j), weight - sum(decode(reduced)))
             yield from walk(reduced, omega, sign * s, (step,) + steps)
 
-    return list(walk(lam.parts, mu.parts, 1, ()))
+    return list(walk(lam, mu, 1, ()))
 
 
 def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
-    return _chains(lam, mu, _duan_moves, ChainS)
+    check_same_weight(lam, mu)
+    return _chains(_intern(lam.parts), _intern(mu.parts), _duan_moves, ChainS, _decode)
 
 
 def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
-    return _chains(lam, mu, _er_moves, ChainT)
+    check_same_weight(lam, mu)
+    return _chains(lam.parts, mu.parts, _er_moves, ChainT, lambda parts: parts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +427,10 @@ def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
 def monomial_to_schur(lam: Partition) -> SchurExpansion:
     """The full row of inverse Kostka entries: the Schur expansion of the
     monomial symmetric function indexed by lam."""
-    a = lam.parts
+    a = _intern(lam.parts)
     out: dict[Partition, int] = {}
-    for mu in enumerate_partitions(lam.weight):
-        v = _duan_entry(a, mu.parts)
+    for mu, b in zip(enumerate_partitions(lam.weight), _weight_ids(lam.weight)):
+        v = _duan_entry(a, b)
         if v:
             out[mu] = v
     return SchurExpansion(out)
@@ -354,18 +466,23 @@ class LabeledMatrix:
         )
 
 
-def _weight_rows(m: int, entry):
-    """The partitions of m in canonical order, and a generator of the matrix
-    rows over them that computes each row only when it is asked for.  The
-    weight is checked here, before any row.  Every partition of m has
-    weight m, so entry takes the part tuples with no weight check."""
+def _weight_rows(m: int, inverse: bool):
+    """The partitions of m in canonical order, and a generator of the rows of
+    the inverse Kostka matrix over them (the Kostka matrix, if not inverse)
+    that computes each row only when it is asked for.  The weight is checked
+    here, before any row.  Every partition of m has weight m, so the entries
+    skip the weight check: the strip engine takes the ids of the weight and
+    tableau counting the part tuples."""
     labels = tuple(enumerate_partitions(m))
-    parts = [p.parts for p in labels]
-    return labels, (tuple(entry(a, b) for b in parts) for a in parts)
+    if inverse:
+        keys, entry = _weight_ids(m), _duan_entry
+    else:
+        keys, entry = [p.parts for p in labels], _kostka_entry
+    return labels, (tuple(entry(a, b) for b in keys) for a in keys)
 
 
-def _weight_matrix(m: int, entry) -> LabeledMatrix:
-    labels, rows = _weight_rows(m, entry)
+def _weight_matrix(m: int, inverse: bool) -> LabeledMatrix:
+    labels, rows = _weight_rows(m, inverse)
     return LabeledMatrix(labels, tuple(rows))
 
 
@@ -375,11 +492,11 @@ def _kostka_entry(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def kostka_matrix(m: int) -> LabeledMatrix:
     """Kostka numbers over all partitions of m, via tableau counting."""
-    return _weight_matrix(m, _kostka_entry)
+    return _weight_matrix(m, False)
 
 
 def inverse_kostka_matrix(m: int) -> LabeledMatrix:
-    return _weight_matrix(m, _duan_entry)
+    return _weight_matrix(m, True)
 
 
 @dataclass(frozen=True)
@@ -393,6 +510,7 @@ def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
     """Expand the entry one step along each recurrence, both fed with
     sub-entries from the strip engine, and compare the two sums."""
     check_same_weight(lam, mu)
-    lhs = sum(s * _duan_entry(l, m) for s, _, l, m in _duan_moves(lam.parts, mu.parts))
-    rhs = sum(s * _duan_entry(l, m) for s, _, l, m in _er_moves(lam.parts, mu.parts))
+    a, b = lam.parts, mu.parts
+    lhs = sum(s * _duan_entry(l, m) for s, _, l, m in _duan_moves(_intern(a), _intern(b)))
+    rhs = sum(s * _duan_entry(_intern(l), _intern(m)) for s, _, l, m in _er_moves(a, b))
     return Corollary1Check(lhs, rhs, lhs == rhs)

@@ -86,8 +86,10 @@ class Partition:
             if not parts:
                 raise ValueError("no parts")
             return cls(parts)
-        except (ValueError, OverflowError) as exc:  # a multiplicity too large to repeat
-            raise PartitionParseError(f"cannot parse partition literal {text!r}: {exc}") from None
+        except (ValueError, OverflowError, MemoryError) as exc:
+            # the last two: a multiplicity too large to repeat or to hold
+            reason = str(exc) or "too many parts"
+            raise PartitionParseError(f"cannot parse partition literal {text!r}: {reason}") from None
 
     @property
     def weight(self) -> int:

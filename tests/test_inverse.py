@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invkostka.inverse as inverse
+from invkostka import clear_caches
 from invkostka.inverse import (
     ChainS,
     ChainT,
@@ -307,11 +308,12 @@ def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
     recurse = inverse._duan_recurse
     seen = []
 
-    def checked(lam, mu):
-        seen.append((lam, mu))
+    def checked(a, b):
+        seen.append((a, b))
+        lam, mu = inverse._decode(a), inverse._decode(b)
         assert lam and lam[-1] != mu[-1], (lam, mu)
         assert len(lam) <= len(mu) and _last_nonzero_cmp(lam, mu) > 0, (lam, mu)
-        return recurse(lam, mu)
+        return recurse(a, b)
 
     monkeypatch.setattr(inverse, "_duan_recurse", checked)
     recurse.cache_clear()
@@ -320,6 +322,52 @@ def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
         for lam in enumerate_partitions(m):
             monomial_to_schur(lam)
     assert seen and recurse.cache_info().currsize == len(set(seen))
+
+
+def test_partition_ids_decode_to_their_parts():
+    for m in range(0, 9):
+        for lam in enumerate_partitions(m):
+            i = inverse._intern(lam.parts)
+            assert inverse._decode(i) == lam.parts
+            assert inverse._length[i] == lam.length
+            assert inverse._top[i] == (lam.parts[-1] if lam.parts else 0)
+            assert inverse._rest[i] == inverse._intern(lam.parts[:-1])
+        assert inverse._weight_ids(m) == tuple(
+            inverse._intern(lam.parts) for lam in enumerate_partitions(m)
+        )
+
+
+def test_interning_a_deep_tuple_needs_no_recursion():
+    deep = (1,) * 5000
+    try:
+        i = inverse._intern(deep)
+        assert inverse._decode(i) == deep and inverse._length[i] == 5000
+    finally:
+        clear_caches()
+
+
+def test_clear_caches_leaves_only_the_empty_partition_id():
+    before = inverse_kostka_matrix(10)
+    assert len(inverse._top) > 1
+    clear_caches()
+    assert inverse._id_of == inverse._id_of_parts == inverse._ids_by_weight == {}
+    columns = (inverse._top, inverse._length, inverse._rest, inverse._removals, inverse._preds)
+    assert all(len(column) == 1 for column in columns)
+    assert inverse._decode(0) == () and inverse._intern(()) == 0
+    assert inverse._duan_recurse.cache_info().currsize == 0
+    assert inverse_kostka_matrix(10) == before
+
+
+def test_clearing_the_id_table_clears_the_duan_memo():
+    lam, mu = P([1, 2, 3]), P([1, 1, 1, 1, 2])
+    value = inv_kostka_duan(lam, mu)
+    assert inverse._duan_recurse.cache_info().currsize
+    inverse._intern.cache_clear()
+    assert inverse._duan_recurse.cache_info().currsize == 0
+    # the other way round stays safe: the ids outlive the memo over them
+    inv_kostka_duan(lam, mu)
+    inverse._duan_recurse.cache_clear()
+    assert inv_kostka_duan(lam, mu) == value == inv_kostka_er(lam, mu)
 
 
 def test_one_step_expansion_identity_examples():
