@@ -18,11 +18,13 @@ compare serves only ``cancellation_zero`` and ``last_nonzero_compare``.
 The strip engine runs on partition ids.  Every part tuple it meets is
 interned once into a table beside it, which keeps per id the largest part,
 the length, the id without the largest part and, filled on first use, the
-one-part removals and the strip predecessors as ids.  So the engine's memo
-hashes two small ints, and its step reads stored ids instead of slicing and
-hashing tuples.  The public entry points intern their arguments once, and
-the row and matrix builders intern the partitions of a weight once.  Only
-duan uses the table; er and brute run on part tuples.
+strip predecessors as ids.  Two memos over one int sit beside the table:
+the one-part removals of an id and the ids of the partitions of a weight.
+So the engine's memo hashes two small ints, and its step reads stored ids
+instead of slicing and hashing tuples.  The public entry points intern
+their arguments once, and the row and matrix builders intern the
+partitions of a weight once.  Only duan uses the table; er and brute run on
+part tuples.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu') moves,
 written once: on ids for duan, on part tuples for er.  The memoized engine
@@ -85,17 +87,14 @@ def tail_reduction(lam: Partition, mu: Partition) -> tuple[Partition, Partition]
 # as 1^5000 costs one entry per part.  The tuples that were interned whole
 # are looked up again with one hash.  Per id, the columns hold its largest
 # part, its length and the id without its largest part; then, filled on
-# first use, its one-part removals as ((v, id of lam minus one v), ...) with
-# v ascending, and its vertical strip predecessors as {strip size: ids in
+# first use, its vertical strip predecessors as {strip size: ids in
 # canonical order}; None until then.
 _id_of: dict[tuple[int, int], int] = {}
 _id_of_parts: dict[tuple[int, ...], int] = {}
 _top: list[int] = [0]
 _length: list[int] = [0]
 _rest: list[int] = [0]
-_removals: list[tuple[tuple[int, int], ...] | None] = [()]
 _preds: list[dict[int, tuple[int, ...]] | None] = [None]
-_ids_by_weight: dict[int, tuple[int, ...]] = {}
 
 
 def _intern(parts: tuple[int, ...]) -> int:
@@ -111,7 +110,6 @@ def _intern(parts: tuple[int, ...]) -> int:
             _top.append(p)
             _length.append(_length[i] + 1)
             _rest.append(i)
-            _removals.append(None)
             _preds.append(None)
         i = j
     _id_of_parts[parts] = i
@@ -130,37 +128,36 @@ def _decode(i: int) -> tuple[int, ...]:
 
 def _clear_ids() -> None:
     """Drop every id but the empty partition's.  A rebuilt table may give a
-    partition another id, so the memo over ids goes too."""
-    _duan_recurse.cache_clear()
+    partition another id, so the memos over ids go too."""
+    for memo in (_duan_recurse, _part_removals, _weight_ids):
+        memo.cache_clear()
     _id_of.clear()
     _id_of_parts.clear()
-    for column in (_top, _length, _rest, _removals, _preds):
+    for column in (_top, _length, _rest, _preds):
         del column[1:]
     _preds[0] = None
-    _ids_by_weight.clear()
 
 
 # clear_caches() empties every module-level object with a cache_clear
 _intern.cache_clear = _clear_ids
 
 
+@lru_cache(maxsize=None)
 def _weight_ids(m: int) -> tuple[int, ...]:
-    """The ids of the partitions of m >= 0 in canonical order, interned once."""
-    ids = _ids_by_weight.get(m)
-    if ids is None:
-        ids = _ids_by_weight[m] = tuple(_intern(p.parts) for p in _enumerate_cached(m))
-    return ids
+    """The ids of the partitions of m >= 0 in canonical order."""
+    return tuple(_intern(p.parts) for p in _enumerate_cached(m))
 
 
-def _removals_of(lam: int) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=None)
+def _part_removals(lam: int) -> tuple[tuple[int, int], ...]:
+    """The one-part removals of an id as ((v, id of lam minus one v), ...),
+    one per distinct part v, ascending."""
     parts = _decode(lam)
-    found = tuple(  # one removal per distinct value, ascending
+    return tuple(
         (v, _intern(parts[:j] + parts[j + 1 :]))
         for j, v in enumerate(parts)
         if j + 1 == len(parts) or parts[j + 1] != v
     )
-    _removals[lam] = found
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +203,15 @@ def _duan_moves(lam: int, mu: int):
     preds = _preds[rest]
     if preds is None:
         preds = _preds[rest] = {}
-    removals = _removals[lam]
-    if removals is None:
-        removals = _removals_of(lam)
-    for value, reduced in removals:
+    for value, reduced in _part_removals(lam):
         strip = value - mu_max
         if strip < 0:
             continue
         omegas = preds.get(strip)
         if omegas is None:
-            found = _strip_predecessors_raw(_decode(rest), strip)
+            # unmemoized: the id column is the one copy of this table, and
+            # each (id, strip size) reaches this line once
+            found = _strip_predecessors_raw.__wrapped__(_decode(rest), strip)
             omegas = preds[strip] = tuple(map(_intern, found))
         sign = -1 if strip % 2 else 1
         for omega in omegas:
@@ -433,7 +429,7 @@ def monomial_to_schur(lam: Partition) -> SchurExpansion:
         v = _duan_entry(a, b)
         if v:
             out[mu] = v
-    return SchurExpansion(out)
+    return SchurExpansion._unsafe(out)
 
 
 @dataclass(frozen=True)
@@ -477,17 +473,13 @@ def _weight_rows(m: int, inverse: bool):
     if inverse:
         keys, entry = _weight_ids(m), _duan_entry
     else:
-        keys, entry = [p.parts for p in labels], _kostka_entry
+        keys, entry = [p.parts for p in labels], _kostka_raw
     return labels, (tuple(entry(a, b) for b in keys) for a in keys)
 
 
 def _weight_matrix(m: int, inverse: bool) -> LabeledMatrix:
     labels, rows = _weight_rows(m, inverse)
     return LabeledMatrix(labels, tuple(rows))
-
-
-def _kostka_entry(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return _kostka_raw(a[::-1], b)
 
 
 def kostka_matrix(m: int) -> LabeledMatrix:

@@ -53,7 +53,10 @@ class Partition:
         for value, mult in pairs:
             if mult < 0:
                 raise ValueError("multiplicities must be non-negative")
-            parts.extend([value] * mult)
+            try:
+                parts.extend([value] * mult)
+            except MemoryError:
+                raise ValueError("too many parts") from None
         return cls(parts)
 
     @classmethod
@@ -70,7 +73,7 @@ class Partition:
                 if not body:
                     return cls()
                 return cls(int(tok) for tok in body.split(","))
-            parts: list[int] = []
+            pairs: list[tuple[int, int]] = []
             for tok in s.split(","):
                 tok = tok.strip()
                 if not tok:
@@ -82,14 +85,11 @@ class Partition:
                         raise ValueError("multiplicity must be positive")
                 else:
                     value, mult = int(tok), 1
-                parts.extend([value] * mult)
-            if not parts:
-                raise ValueError("no parts")
-            return cls(parts)
-        except (ValueError, OverflowError, MemoryError) as exc:
-            # the last two: a multiplicity too large to repeat or to hold
-            reason = str(exc) or "too many parts"
-            raise PartitionParseError(f"cannot parse partition literal {text!r}: {reason}") from None
+                pairs.append((value, mult))
+            return cls.from_multiplicities(pairs)
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: a multiplicity too large to repeat
+            raise PartitionParseError(f"cannot parse partition literal {text!r}: {exc}") from None
 
     @property
     def weight(self) -> int:

@@ -5,8 +5,9 @@ polynomials as sums over distinct rearrangements, alternants as signed
 permutation sums, Schur polynomials by a layered count of semistandard
 tableaux (entry n down to entry 1, one horizontal strip each, with the
 tableaux that agree on the entries placed so far counted together), and
-Kostka numbers by horizontal-strip chains.  The kernel serves as the
-ground truth that the recurrence engines are validated against.
+Kostka numbers by horizontal-strip chains.  Shapes are part tuples in the
+package's non-decreasing layout.  The kernel serves as the ground truth
+that the recurrence engines are validated against.
 """
 
 from __future__ import annotations
@@ -200,19 +201,19 @@ def elementary_symmetric(r: int, n: int) -> SparsePolynomial:
 @lru_cache(maxsize=None)
 def _hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(predecessor, removed) pairs where shape minus predecessor is a
-    horizontal strip; shapes are in the decreasing convention here."""
-    # row i keeps between shape[i + 1] (0 for the last row) and shape[i]
-    # cells; a predecessor is non-increasing, so its zeros trail
+    horizontal strip."""
+    # part i keeps between the next smaller part (0 for the smallest) and
+    # all of its cells; a predecessor is non-decreasing, so its zeros lead
     size = sum(shape)
-    rows = [range(lo, row + 1) for row, lo in zip(shape, shape[1:] + (0,))]
-    return tuple((pred[: len(pred) - pred.count(0)], size - sum(pred)) for pred in product(*rows))
+    rows = [range(lo, row + 1) for lo, row in zip((0,) + shape, shape)]
+    return tuple((pred[pred.count(0) :], size - sum(pred)) for pred in product(*rows))
 
 
 def _tableau_sum(level: dict, n: int) -> dict:
     """Weighted exponent counts of the semistandard tableaux with entries in
     1..n, filled from entry n down to entry 1, each entry a horizontal strip.
 
-    ``level`` maps each shape still to be filled (decreasing convention) to
+    ``level`` maps each part tuple still to be filled to
     ``{exponents of the entries already placed: weight}``; a seed shape
     starts at ``{(): its coefficient}``.  Tableaux that agree on the entries
     placed so far are counted once, not walked one by one."""
@@ -236,7 +237,7 @@ def schur(lam: Partition, n: int) -> SparsePolynomial:
     layer by layer (``_tableau_sum``), not walked one at a time."""
     if n < lam.length:
         raise ValueError(f"{lam} needs at least {lam.length} variables")
-    return SparsePolynomial._unsafe(n, _tableau_sum({tuple(reversed(lam.parts)): {(): 1}}, n))
+    return SparsePolynomial._unsafe(n, _tableau_sum({lam.parts: {(): 1}}, n))
 
 
 def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
@@ -267,7 +268,7 @@ def _kostka_raw(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
 def kostka_number(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
     check_same_weight(lam, mu)
-    return _kostka_raw(tuple(reversed(lam.parts)), mu.parts)
+    return _kostka_raw(lam.parts, mu.parts)
 
 
 class _Combination:
@@ -359,5 +360,5 @@ def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomi
     too_long = [p for p in expansion.coeffs if p.length > n]
     if too_long:
         raise ValueError(f"{too_long[0]} needs more than {n} variables")
-    level = {tuple(reversed(part.parts)): {(): c} for part, c in expansion.coeffs.items()}
+    level = {part.parts: {(): c} for part, c in expansion.coeffs.items()}
     return SparsePolynomial._unsafe(n, _tableau_sum(level, n))

@@ -26,6 +26,7 @@ from invkostka import (
     monomial_to_schur,
     steenrod_P,
     steenrod_Sq,
+    vertical_strip_predecessors,
     vertical_strip_successors,
 )
 
@@ -83,6 +84,7 @@ def test_clear_caches_empties_every_benchmark_memo():
     inv_kostka_duan(lam, mu)
     inv_kostka_er(lam, mu)
     kostka_number(lam, mu)
+    vertical_strip_predecessors(mu, 2)
     vertical_strip_successors(lam, 2)
     ep = EPolynomial({(1, 2): 1})
     epoly_to_schur(ep)

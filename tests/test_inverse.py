@@ -33,6 +33,7 @@ from invkostka.partitions import (
     check_same_weight,
     distinct_permutations,
     enumerate_partitions,
+    vertical_strip_predecessors,
 )
 from invkostka.symfunc import SchurExpansion
 from invkostka.unipoly import UniPolynomial
@@ -350,12 +351,24 @@ def test_clear_caches_leaves_only_the_empty_partition_id():
     before = inverse_kostka_matrix(10)
     assert len(inverse._top) > 1
     clear_caches()
-    assert inverse._id_of == inverse._id_of_parts == inverse._ids_by_weight == {}
-    columns = (inverse._top, inverse._length, inverse._rest, inverse._removals, inverse._preds)
+    assert inverse._id_of == inverse._id_of_parts == {}
+    columns = (inverse._top, inverse._length, inverse._rest, inverse._preds)
     assert all(len(column) == 1 for column in columns)
     assert inverse._decode(0) == () and inverse._intern(()) == 0
-    assert inverse._duan_recurse.cache_info().currsize == 0
+    memos = (inverse._duan_recurse, inverse._part_removals, inverse._weight_ids)
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
     assert inverse_kostka_matrix(10) == before
+
+
+def test_strip_engine_holds_no_tuple_copy_of_its_predecessors():
+    # the engine keeps its strip predecessors as ids only; the tuple memo
+    # fills for the public function alone
+    clear_caches()
+    inverse_kostka_matrix(12)
+    assert any(inverse._preds)
+    assert _strip_predecessors_raw.cache_info().currsize == 0
+    vertical_strip_predecessors(P([1, 2, 2]), 2)
+    assert _strip_predecessors_raw.cache_info().currsize == 1
 
 
 def test_clearing_the_id_table_clears_the_duan_memo():

@@ -297,7 +297,7 @@ def _reference_strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tup
 
 def _reference_hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(predecessor, removed) pairs where shape minus predecessor is a
-    horizontal strip; shapes are in the decreasing convention here."""
+    horizontal strip."""
     if not shape:
         return (((), 0),)
     out: list[tuple[tuple[int, ...], int]] = []
@@ -305,11 +305,11 @@ def _reference_hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[
     def rec(i: int, acc: tuple[int, ...], removed: int) -> None:
         if i == len(shape):
             trimmed = acc
-            while trimmed and trimmed[-1] == 0:
-                trimmed = trimmed[:-1]
+            while trimmed and trimmed[0] == 0:
+                trimmed = trimmed[1:]
             out.append((trimmed, removed))
             return
-        lo = shape[i + 1] if i + 1 < len(shape) else 0
+        lo = shape[i - 1] if i > 0 else 0
         for v in range(lo, shape[i] + 1):
             rec(i + 1, acc + (v,), removed + shape[i] - v)
 
@@ -329,8 +329,7 @@ def test_strip_tables_match_the_backtracking_reference_in_order():
             for r in range(m + 1):
                 assert pred(parts, r) == _reference_strip_predecessors_raw(parts, r), (parts, r)
                 assert succ(parts, r) == _reference_strip_successors_raw(parts, r), (parts, r)
-            shape = parts[::-1]
-            assert hstrip(shape) == _reference_hstrip_predecessors(shape), shape
+            assert hstrip(parts) == _reference_hstrip_predecessors(parts), parts
 
 
 def test_strip_tables_stay_output_sensitive_on_many_distinct_parts():

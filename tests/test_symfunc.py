@@ -43,7 +43,7 @@ def _reference_schur(lam: Partition, n: int) -> SparsePolynomial:
         raise ValueError(f"{lam} needs at least {lam.length} variables")
     terms: dict[tuple[int, ...], int] = {}
     expo = [0] * n
-    shape0 = tuple(reversed(lam.parts))
+    shape0 = lam.parts
 
     def rec(shape: tuple[int, ...], j: int) -> None:
         if not shape:
