@@ -1,5 +1,6 @@
 """Run every cross-validation suite and print the report, each suite line
-with that suite's time, then the total time.
+with that suite's time, then the total time and, where /proc is mounted,
+the process's peak resident memory.
 
 Usage: python scripts/full_verify.py [--max-weight W]
 
@@ -11,6 +12,18 @@ import sys
 import time
 
 from invkostka import verify_suite
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident memory (VmHWM), or None without /proc."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
 
 
 def main() -> int:
@@ -26,6 +39,9 @@ def main() -> int:
         print(f"{line} [{suite.elapsed:.2f}s]")
     print(lines[-1])
     print(f"elapsed: {elapsed:.2f}s")
+    peak = peak_rss_mb()
+    if peak is not None:
+        print(f"peak RSS: {peak:.1f} MB")
     return 0 if report.ok else 3
 
 

@@ -345,6 +345,15 @@ def _render(out: CommandOutput, ns) -> None:
             print(line)
 
 
+def _report(message: str) -> None:
+    """Print an error line on stderr.  A stderr that fails too (a pipe that
+    also closed stdout) is ignored: the exit code still tells the failure."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def run(argv: list[str]) -> int:
     try:
         ns = build_parser().parse_args(argv)
@@ -353,16 +362,16 @@ def run(argv: list[str]) -> int:
             _render(out, ns)
         sys.stdout.flush()
     except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        _report(f"usage error: {e}")
         return 1
     except (ValueError, OverflowError) as e:  # weight mismatches, domain errors, huge sizes
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}")
         return 2
     except RecursionError:
-        print("error: input too deep for the recursion limit", file=sys.stderr)
+        _report("error: input too deep for the recursion limit")
         return 2
     except OSError as e:  # stdout failed: a closed pipe, a full disk
-        print(f"error: cannot write the output: {e.strerror or e}", file=sys.stderr)
+        _report(f"error: cannot write the output: {e.strerror or e}")
         return 2
     return 0 if out is None else out.exit_code
 

@@ -35,11 +35,15 @@ decodes ids to part tuples only to record each step), and the
 Corollary 1 check sums strip-engine entries over one move of each step.  On
 top of these sit the signed-solution polynomial f and labeled matrix
 builders for whole-weight tables.  The matrix and row builders call the
-memoized entry on ids directly: every partition they enumerate has the
-weight they were given, so they skip the per-entry weight check of the
-public entry functions.  The matrix builders and the CLI's ``matrix``
-command share one lazy row generator, so the CLI can write each row as soon
-as it is computed.
+entry on ids directly: every partition they enumerate has the weight they
+were given, so they skip the per-entry weight check of the public entry
+functions.  The matrix builders and the CLI's ``matrix`` command share one
+lazy row generator, so the CLI can write each row as soon as it is
+computed.  That generator does not memoize its own entries, only their
+sub-entries: every step removes a part, so an entry of weight m is read
+back only from a higher weight, which a table of weight m never asks for.
+The entry functions and the row builder still memoize their entries, which
+later and heavier queries of a long-lived caller read back.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .partitions import (
     check_same_weight,
     enumerate_partitions,
 )
-from .symfunc import SchurExpansion, _kostka_raw
+from .symfunc import SchurExpansion, _kostka_sum
 from .unipoly import UniPolynomial
 
 
@@ -169,26 +173,34 @@ def inv_kostka_duan(lam: Partition, mu: Partition) -> int:
     return _duan_entry(_intern(lam.parts), _intern(mu.parts))
 
 
-def _duan_entry(lam: int, mu: int) -> int:
+def _duan_entry(lam: int, mu: int, finish=None) -> int:
+    """The entry of a pair of ids: tail-reduce it, decide the trivial and the
+    cancelling cases, and sum a pair that is left through the memo (looked up
+    on each call).  ``finish``, if given, sums a pair that kept its weight
+    instead; a reduced pair has a lower weight and always takes the memo."""
     # memo key is the pair of ids after tail reduction; the reduced form also
     # makes the cancellation tests cheap
     while lam and _top[lam] == _top[mu]:
         lam = _rest[lam]
         mu = _rest[mu]
+        finish = None
     if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
     # now the largest parts differ, so the last-nonzero order is decided there
     if _length[lam] > _length[mu] or _top[lam] < _top[mu]:
         return 0
-    return _duan_recurse(lam, mu)
+    return (finish or _duan_recurse)(lam, mu)
 
 
-@lru_cache(maxsize=None)
-def _duan_recurse(lam: int, mu: int) -> int:
+def _duan_sum(lam: int, mu: int) -> int:
+    """One step's signed sum of sub-entries, each read through the memo."""
     total = 0
     for sign, _, reduced, omega in _duan_moves(lam, mu):
         total += sign * _duan_entry(reduced, omega)
     return total
+
+
+_duan_recurse = lru_cache(maxsize=None)(_duan_sum)
 
 
 def _duan_moves(lam: int, mu: int):
@@ -468,13 +480,18 @@ def _weight_rows(m: int, inverse: bool):
     that computes each row only when it is asked for.  The weight is checked
     here, before any row.  Every partition of m has weight m, so the entries
     skip the weight check: the strip engine takes the ids of the weight and
-    tableau counting the part tuples."""
+    tableau counting the part tuples.  An entry of weight m is summed
+    without the memo (for duan, one that keeps its weight through the tail
+    reduction and the zero gate): no entry of weight m is read back while
+    the table is built, so only the sub-entries below m are memoized."""
     labels = tuple(enumerate_partitions(m))
     if inverse:
-        keys, entry = _weight_ids(m), _duan_entry
+        ids = _weight_ids(m)
+        rows = (tuple(_duan_entry(a, b, _duan_sum) for b in ids) for a in ids)
     else:
-        keys, entry = [p.parts for p in labels], _kostka_raw
-    return labels, (tuple(entry(a, b) for b in keys) for a in keys)
+        parts = [p.parts for p in labels]
+        rows = (tuple(_kostka_sum(a, b) for b in parts) for a in parts)
+    return labels, rows
 
 
 def _weight_matrix(m: int, inverse: bool) -> LabeledMatrix:

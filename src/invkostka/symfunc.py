@@ -251,8 +251,9 @@ def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
     )
 
 
-@lru_cache(maxsize=None)
-def _kostka_raw(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+def _kostka_sum(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """The Kostka number of part tuples as a sum over the horizontal strips
+    that hold the last entry, each sub-count read through the memo."""
     if not content:
         return 1 if not shape else 0
     if len(shape) > len(content):
@@ -263,6 +264,9 @@ def _kostka_raw(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
         if removed == last:
             total += _kostka_raw(pred, content[:-1])
     return total
+
+
+_kostka_raw = lru_cache(maxsize=None)(_kostka_sum)
 
 
 def kostka_number(lam: Partition, mu: Partition) -> int:

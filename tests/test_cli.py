@@ -216,7 +216,8 @@ def test_output_errors_exit_2_without_traceback(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_closed_pipe_stops_the_matrix_work(capsys, monkeypatch, fmt):
     # rows are computed only as they are written, so a stdout that fails on
-    # its first write leaves the strip engine's memo nearly empty
+    # its first write leaves the strip engine's memo far smaller than after
+    # the whole matrix, whose memo holds the sub-entries below weight 12
     from invkostka import clear_caches
     from invkostka.inverse import _duan_recurse
 
@@ -229,6 +230,16 @@ def test_closed_pipe_stops_the_matrix_work(capsys, monkeypatch, fmt):
     code = run(["matrix", "--weight", "12", "--inverse", "--format", fmt])
     assert (code, capsys.readouterr().err) == (2, "error: cannot write the output: Broken pipe\n")
     assert _duan_recurse.cache_info().currsize < full_memo / 10
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_failing_stderr_leaves_the_exit_code(monkeypatch, fmt):
+    # a closed pipe that carries both streams (2>&1 | head -1) fails the
+    # error line too; run still returns 2 and raises nothing
+    pipe = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(0, pipe))
+    monkeypatch.setattr(sys, "stderr", _FailingStdout(0, pipe))
+    assert run(["matrix", "--weight", "5", "--inverse", "--format", fmt]) == 2
 
 
 def _module_command(argv, **kwargs):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invkostka.inverse as inverse
+import invkostka.symfunc as symfunc
 from invkostka import clear_caches
 from invkostka.inverse import (
     ChainS,
@@ -323,6 +324,36 @@ def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
         for lam in enumerate_partitions(m):
             monomial_to_schur(lam)
     assert seen and recurse.cache_info().currsize == len(set(seen))
+
+
+def test_whole_weight_tables_memoize_only_lower_weights(monkeypatch):
+    # an entry of weight m is read back only from weights above m, so the
+    # builders for weight m sum their own entries and memoize none of them
+    clear_caches()
+    seen = {"duan": [], "kostka": []}  # weights of the pairs sent to each memo
+    sites = {
+        "duan": (inverse, "_duan_recurse", lambda lam, mu: sum(inverse._decode(lam))),
+        "kostka": (symfunc, "_kostka_raw", lambda shape, content: sum(shape)),
+    }
+    for name, (module, attr, weight) in sites.items():
+        def checked(a, b, memo=getattr(module, attr), weight=weight, into=seen[name]):
+            into.append(weight(a, b))
+            return memo(a, b)
+
+        monkeypatch.setattr(module, attr, checked)
+    for m in range(0, 13):
+        for weights in seen.values():
+            weights.clear()
+        inverse_kostka_matrix(m)
+        kostka_matrix(m)
+        assert all(w < m for weights in seen.values() for w in weights), m
+    assert all(seen.values())
+    monkeypatch.undo()
+    clear_caches()
+    inverse_kostka_matrix(12)
+    kostka_matrix(12)
+    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert symfunc._kostka_raw.cache_info().currsize == 1208
 
 
 def test_partition_ids_decode_to_their_parts():
