@@ -18,7 +18,9 @@ compare serves only ``cancellation_zero`` and ``last_nonzero_compare``.
 The strip engine runs on partition ids.  Every part tuple it meets is
 interned once into a table beside it, which keeps per id the largest part,
 the length, the id without the largest part and, filled on first use, the
-strip predecessors as ids.  Two memos over one int sit beside the table:
+strip predecessors as ids.  A step that meets a strip size the column lacks
+fills, with one strip walk, every size it asks for that the column lacks
+and every size between those.  Two memos over one int sit beside the table:
 the one-part removals of an id and the ids of the partitions of a weight.
 So the engine's memo hashes two small ints, and its step reads stored ids
 instead of slicing and hashing tuples.  The public entry points intern
@@ -26,8 +28,10 @@ their arguments once, and the row and matrix builders intern the
 partitions of a weight once.  Only duan uses the table; er and brute run on
 part tuples.
 
-Each recurrence step is a generator of signed (sign, j, lam', mu') moves,
-written once: on ids for duan, on part tuples for er.  The memoized engine
+Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
+written once: on ids for duan, on part tuples for er.  A move removes one
+part of lam and carries every mu' that goes with it, for duan the stored
+strip predecessors and for er the one reduction.  The memoized engine
 sums its own entries over them from its own frame, so a step adds no stack
 depth.  The same moves serve twice more: the S and T chains, whose signed
 counts reproduce the entry, unroll them down to the empty pair (the S walk
@@ -42,7 +46,10 @@ lazy row generator, so the CLI can write each row as soon as it is
 computed.  That generator does not memoize its own entries, only their
 sub-entries: every step removes a part, so an entry of weight m is read
 back only from a higher weight, which a table of weight m never asks for.
-The entry functions and the row builder still memoize their entries, which
+The entries of one matrix row read the same sub-entries many times, so
+the generator reads them through tables of the row's own, one per one-part
+removal of its partition, which go with the row.  The entry functions and
+the row builder (``monomial_to_schur``) still memoize their entries, which
 later and heavier queries of a long-lived caller read back.
 """
 
@@ -57,7 +64,7 @@ from .partitions import (
     _er_reduce,
     _inversions,
     _last_nonzero_cmp,
-    _strip_predecessors_raw,
+    _strip_predecessor_tables,
     check_same_weight,
     enumerate_partitions,
 )
@@ -195,8 +202,9 @@ def _duan_entry(lam: int, mu: int, finish=None) -> int:
 def _duan_sum(lam: int, mu: int) -> int:
     """One step's signed sum of sub-entries, each read through the memo."""
     total = 0
-    for sign, _, reduced, omega in _duan_moves(lam, mu):
-        total += sign * _duan_entry(reduced, omega)
+    for sign, _, reduced, omegas in _duan_moves(lam, mu):
+        for omega in omegas:
+            total += sign * _duan_entry(reduced, omega)
     return total
 
 
@@ -204,10 +212,12 @@ _duan_recurse = lru_cache(maxsize=None)(_duan_sum)
 
 
 def _duan_moves(lam: int, mu: int):
-    """One strip-removal step on ids as (sign, j, lam', mu') moves: for each
-    distinct part v of lam that is at least the largest part of mu, drop one
-    v from lam and, from the rest of mu, a vertical strip of size
-    j = v - max(mu), with sign (-1)^j."""
+    """One strip-removal step on ids as (sign, j, lam', omegas) moves, one
+    per distinct part v of lam that is at least the largest part of mu: drop
+    one v from lam and, from the rest of mu, a vertical strip of size
+    j = v - max(mu), with sign (-1)^j.  ``omegas`` are the ids that removing
+    that strip leaves, in canonical order; a part that leaves none makes no
+    move."""
     if not mu:
         return  # nothing to peel
     mu_max = _top[mu]
@@ -215,19 +225,39 @@ def _duan_moves(lam: int, mu: int):
     preds = _preds[rest]
     if preds is None:
         preds = _preds[rest] = {}
-    for value, reduced in _part_removals(lam):
+    removals = _part_removals(lam)
+    for value, reduced in removals:
         strip = value - mu_max
         if strip < 0:
             continue
         omegas = preds.get(strip)
         if omegas is None:
-            # unmemoized: the id column is the one copy of this table, and
-            # each (id, strip size) reaches this line once
-            found = _strip_predecessors_raw.__wrapped__(_decode(rest), strip)
-            omegas = preds[strip] = tuple(map(_intern, found))
-        sign = -1 if strip % 2 else 1
-        for omega in omegas:
-            yield sign, strip, reduced, omega
+            _fill_strips(rest, preds, [v - mu_max for v, _ in removals if v >= value])
+            omegas = preds[strip]
+        if omegas:
+            yield (-1 if strip % 2 else 1), strip, reduced, omegas
+
+
+def _fill_strips(rest: int, preds: dict[int, tuple[int, ...]], sizes: list[int]) -> None:
+    """Store in ``preds``, the strip column of id ``rest``, every size of the
+    ascending list ``sizes`` that it lacks.  A size above the length of rest
+    has no predecessors; the others, and every size between them, come from
+    one walk.  No size below the smallest asked is walked or kept: from a
+    long rest such as a staircase, those can be many more partitions."""
+    length = _length[rest]
+    wanted = []
+    for size in sizes:
+        if size not in preds:
+            if size > length:
+                preds[size] = ()
+            else:
+                wanted.append(size)
+    if wanted:
+        lo = wanted[0]
+        tables = _strip_predecessor_tables(_decode(rest), lo, wanted[-1])
+        for size, found in enumerate(tables, lo):
+            if size not in preds:
+                preds[size] = tuple(map(_intern, found))
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +274,24 @@ def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
     total = 0
-    for sign, _, reduced, omega in _er_moves(lam, mu):
-        total += sign * _er_recurse(reduced, omega)
+    for sign, _, reduced, omegas in _er_moves(lam, mu):
+        for omega in omegas:
+            total += sign * _er_recurse(reduced, omega)
     return total
 
 
 def _er_moves(lam: tuple[int, ...], mu: tuple[int, ...]):
-    """One part-removal step as (sign, i, lam', mu') moves: for each index
-    i with mu_i + i - 1 a part of lam, drop that part from lam and take the
-    ER reduction of mu at i, with sign (-1)^(i - 1)."""
+    """One part-removal step as (sign, i, lam', (mu',)) moves, the shape of
+    the strip step's: for each index i with mu_i + i - 1 a part of lam, drop
+    that part from lam and take the ER reduction of mu at i, with sign
+    (-1)^(i - 1)."""
     distinct = set(lam)
     for i, part in enumerate(mu, 1):
         value = part + i - 1
         if value not in distinct:
             continue
         j = lam.index(value)
-        yield (-1 if i % 2 == 0 else 1), i, lam[:j] + lam[j + 1 :], _er_reduce(mu, i)
+        yield (-1 if i % 2 == 0 else 1), i, lam[:j] + lam[j + 1 :], (_er_reduce(mu, i),)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +443,10 @@ def _chains(lam, mu, moves, chain, decode):
             return
         recorded = Partition._from_sorted(decode(mu))
         weight = sum(decode(lam))
-        for s, j, reduced, omega in moves(lam, mu):
+        for s, j, reduced, omegas in moves(lam, mu):
             step = ((recorded, j), weight - sum(decode(reduced)))
-            yield from walk(reduced, omega, sign * s, (step,) + steps)
+            for omega in omegas:
+                yield from walk(reduced, omega, sign * s, (step,) + steps)
 
     return list(walk(lam, mu, 1, ()))
 
@@ -474,6 +507,38 @@ class LabeledMatrix:
         )
 
 
+class _SubEntries(dict):
+    """The sub-entries of one row under one of its one-part removals lam',
+    by the id of mu': each is read through the memo on its first use and
+    from here after that."""
+
+    __slots__ = ("lam",)
+
+    def __init__(self, lam: int):
+        super().__init__()
+        self.lam = lam
+
+    def __missing__(self, mu: int) -> int:
+        value = self[mu] = _duan_entry(self.lam, mu)
+        return value
+
+
+def _inverse_row(lam: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """Row ``lam`` of the inverse Kostka matrix over the ids of its weight.
+    An entry that keeps the weight through the tail reduction and the zero
+    gate is summed here, unmemoized, and reads its sub-entries through one
+    table per removal of lam; the tables go with the row."""
+    reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
+
+    def finish(row: int, mu: int) -> int:
+        total = 0
+        for sign, _, reduced, omegas in _duan_moves(row, mu):
+            total += sign * sum(map(reads[reduced], omegas))
+        return total
+
+    return tuple(_duan_entry(lam, mu, finish) for mu in ids)
+
+
 def _weight_rows(m: int, inverse: bool):
     """The partitions of m in canonical order, and a generator of the rows of
     the inverse Kostka matrix over them (the Kostka matrix, if not inverse)
@@ -483,11 +548,13 @@ def _weight_rows(m: int, inverse: bool):
     tableau counting the part tuples.  An entry of weight m is summed
     without the memo (for duan, one that keeps its weight through the tail
     reduction and the zero gate): no entry of weight m is read back while
-    the table is built, so only the sub-entries below m are memoized."""
+    the table is built, so only the sub-entries below m are memoized.  The
+    entries of one duan row share their sub-entries, about ten reads each
+    at weight 20, so the row reads them through tables of its own."""
     labels = tuple(enumerate_partitions(m))
     if inverse:
         ids = _weight_ids(m)
-        rows = (tuple(_duan_entry(a, b, _duan_sum) for b in ids) for a in ids)
+        rows = (_inverse_row(a, ids) for a in ids)
     else:
         parts = [p.parts for p in labels]
         rows = (tuple(_kostka_sum(a, b) for b in parts) for a in parts)
@@ -520,6 +587,10 @@ def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
     sub-entries from the strip engine, and compare the two sums."""
     check_same_weight(lam, mu)
     a, b = lam.parts, mu.parts
-    lhs = sum(s * _duan_entry(l, m) for s, _, l, m in _duan_moves(_intern(a), _intern(b)))
-    rhs = sum(s * _duan_entry(_intern(l), _intern(m)) for s, _, l, m in _er_moves(a, b))
+    lhs = sum(
+        s * _duan_entry(l, m) for s, _, l, ms in _duan_moves(_intern(a), _intern(b)) for m in ms
+    )
+    rhs = sum(
+        s * _duan_entry(_intern(l), _intern(m)) for s, _, l, ms in _er_moves(a, b) for m in ms
+    )
     return Corollary1Check(lhs, rhs, lhs == rhs)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 from .inverse import (
@@ -122,11 +123,11 @@ def _pairs(weights):
                 yield m, lam, mu
 
 
-def _suite_engine_agreement(max_weight: int):
+def _suite_engine_agreement(max_weight: int, kostka):
     oracles = {}
     for m, lam, mu in _pairs(range(0, max_weight + 1)):
         if m not in oracles:  # back-substitution inverse, its entries in pair order
-            oracles[m] = chain.from_iterable(exact_integer_inverse(kostka_matrix(m).entries))
+            oracles[m] = chain.from_iterable(exact_integer_inverse(kostka(m).entries))
         want = next(oracles[m])
         a = inv_kostka_duan(lam, mu)
         b = inv_kostka_er(lam, mu)
@@ -139,9 +140,10 @@ def _suite_engine_agreement(max_weight: int):
             yield f"duan={a} er={b}{brute} matrix-oracle={want} at ({lam}, {mu})"
 
 
-def _suite_matrix_identity(max_weight: int):
+def _suite_matrix_identity(max_weight: int, kostka):
+    # the inverse is built here because it is what this suite checks
     for m in range(0, max_weight + 1):
-        prod = kostka_matrix(m).matmul(inverse_kostka_matrix(m))
+        prod = kostka(m).matmul(inverse_kostka_matrix(m))
         yield None if prod.is_identity() else f"K * K^-1 != I at weight {m}"
 
 
@@ -187,17 +189,6 @@ def _suite_wu(max_weight: int):
             yield None if steenrod_Sq(k, m) == wu_rhs(k, m) else f"mismatch at k={k}, m={m}"
 
 
-_SUITES = (
-    ("engine_agreement", _suite_engine_agreement),
-    ("matrix_identity", _suite_matrix_identity),
-    ("chain_sums", _suite_chain_sums),
-    ("one_step_expansions", _suite_corollary1),
-    ("structure", _suite_cancellation),
-    ("variable_count_stability", _suite_stability),
-    ("wu_formula", _suite_wu),
-)
-
-
 def _run_suite(name: str, checks) -> SuiteResult:
     start = time.perf_counter()
     checked = 0
@@ -211,5 +202,15 @@ def _run_suite(name: str, checks) -> SuiteResult:
 def verify_suite(max_weight: int) -> VerifyReport:
     if max_weight < 0:
         raise ValueError("max weight must be non-negative")
-    results = tuple(_run_suite(name, suite(max_weight)) for name, suite in _SUITES)
-    return VerifyReport(max_weight, results)
+    # one Kostka matrix per weight and call, read by both suites that need it
+    kostka = lru_cache(maxsize=None)(kostka_matrix)
+    suites = (
+        ("engine_agreement", _suite_engine_agreement(max_weight, kostka)),
+        ("matrix_identity", _suite_matrix_identity(max_weight, kostka)),
+        ("chain_sums", _suite_chain_sums(max_weight)),
+        ("one_step_expansions", _suite_corollary1(max_weight)),
+        ("structure", _suite_cancellation(max_weight)),
+        ("variable_count_stability", _suite_stability(max_weight)),
+        ("wu_formula", _suite_wu(max_weight)),
+    )
+    return VerifyReport(max_weight, tuple(_run_suite(name, checks) for name, checks in suites))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invkostka.inverse as inverse
+import invkostka.partitions as toolkit
 import invkostka.symfunc as symfunc
 from invkostka import clear_caches
 from invkostka.inverse import (
@@ -400,6 +401,42 @@ def test_strip_engine_holds_no_tuple_copy_of_its_predecessors():
     assert _strip_predecessors_raw.cache_info().currsize == 0
     vertical_strip_predecessors(P([1, 2, 2]), 2)
     assert _strip_predecessors_raw.cache_info().currsize == 1
+
+
+def _count_strip_walks(monkeypatch) -> list:
+    walks = []
+    walk = toolkit._strip_walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(toolkit, "_strip_walk", counted)
+    return walks
+
+
+def test_a_strip_column_fills_in_one_walk_per_miss(monkeypatch):
+    # a miss walks once for every size its step asks for and the column
+    # lacks; one walk per (id, strip size) made 591 walks here
+    clear_caches()
+    walks = _count_strip_walks(monkeypatch)
+    inverse_kostka_matrix(12)
+    assert len(walks) == 214
+    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert len(inverse._top) == 272
+
+
+def test_strip_walks_keep_only_the_sizes_a_step_asks_for(monkeypatch):
+    # a strip longer than the rest of mu walks nothing, and no walk keeps a
+    # size below the smallest its step asked for: every size of the rest
+    # (1, ..., 15) from 0 up would intern 65,524 ids instead of 20
+    clear_caches()
+    walks = _count_strip_walks(monkeypatch)
+    assert inv_kostka_duan(P([136]), P(range(1, 17))) == 0
+    assert walks == []
+    clear_caches()
+    assert inv_kostka_duan(P([31, 105]), P(range(1, 17))) == 0
+    assert len(walks) == 1 and len(inverse._top) == 20
 
 
 def test_clearing_the_id_table_clears_the_duan_memo():
