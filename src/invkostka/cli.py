@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand parses its inputs, calls the library, and renders the
-result in one of three formats.  ``matrix`` checks its weight, then writes
-each row as soon as it is computed, so it never holds the whole matrix;
-the other subcommands render a finished result.  Exit codes: 0 on success,
+Every subcommand parses its inputs, calls the library, and writes only the
+format it was asked for.  ``matrix`` checks its weight, then writes each
+row as soon as it is computed, so it never holds the whole matrix;
+``chains`` writes each chain as the walk yields it.  Exit codes: 0 on success,
 1 on a usage error (bad flags, partition literal unparseable or too large
 to represent or to hold), 2 on a computation domain error (weight
 mismatch, formula outside its validity range, input too deep for the
@@ -23,19 +23,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
+from types import GeneratorType
 
 from .closedforms import g_polynomial, h_polynomial
 from .inverse import (
     _BRUTE_MAX_N,
     _brute_in_reach,
+    _chain_walk,
     _weight_rows,
-    enumerate_chains_S,
-    enumerate_chains_T,
     f_polynomial,
     inv_kostka_bruteforce,
     inv_kostka_duan,
@@ -69,36 +69,30 @@ def _partition_args(p: argparse.ArgumentParser, *names: str) -> None:
                        type=partition, required=True, metavar="PARTITION", help=helps[name])
 
 
-@dataclass
-class CommandOutput:
-    result: object
-    plain: list[str]
-    csv_rows: list[list[str]] = field(default_factory=list)
-    exit_code: int = 0
-
-
 def _parts_json(p: Partition) -> list[int]:
     return list(p.parts)
 
 
-def _poly_output(poly) -> CommandOutput:
+def _write_poly(out, ns, poly) -> int:
+    # stringified before any output, like every other value a handler
+    # computes, so that an integer too long for str exits with no output
     coeffs = [str(c) for c in poly.coeffs]
-    rows = [["power", "coeff"]] + [[str(i), c] for i, c in enumerate(coeffs)]
-    return CommandOutput({"coeffs": coeffs}, [poly.pretty()], rows)
+    _write(out, ns, {"coeffs": coeffs}, [poly.pretty()],
+           chain([("power", "coeff")], enumerate(coeffs)))
+    return 0
 
 
-def _expansion_output(items) -> CommandOutput:
-    result = [{"partition": _parts_json(p), "coeff": str(c)} for p, c in items]
-    plain = [f"{p} {c}" for p, c in items]
-    rows = [["partition", "coeff"]] + [[str(p), str(c)] for p, c in items]
-    return CommandOutput(result, plain, rows)
+def _write_expansion(out, ns, items) -> int:
+    _write(out, ns, ({"partition": _parts_json(p), "coeff": str(c)} for p, c in items),
+           (f"{p} {c}" for p, c in items), chain([("partition", "coeff")], items))
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes ns.format to out and returns the exit code
 
 
-def _cmd_entry(ns) -> CommandOutput:
+def _cmd_entry(ns, out) -> int:
     lam, mu = ns.lam, ns.mu
     # looked up on each call, so that a rebound module global takes effect
     engines = {"duan": inv_kostka_duan, "er": inv_kostka_er, "brute": inv_kostka_bruteforce}
@@ -108,112 +102,85 @@ def _cmd_entry(ns) -> CommandOutput:
         values = {name: engine(lam, mu) for name, engine in engines.items()}
         if len(set(values.values())) != 1:
             detail = ", ".join(f"{k}={v}" for k, v in values.items())
-            print(f"engine disagreement: {detail}", file=sys.stderr)
-            return CommandOutput(None, [], exit_code=3)
+            _report(f"engine disagreement: {detail}")
+            return 3
         value = values["duan"]
     else:
         value = engines[ns.engine](lam, mu)
-    rows = [["lambda", "mu", "engine", "value"], [str(lam), str(mu), ns.engine, str(value)]]
-    return CommandOutput(str(value), [str(value)], rows)
+    text = str(value)
+    _write(out, ns, text, [text],
+           [("lambda", "mu", "engine", "value"), (lam, mu, ns.engine, text)])
+    return 0
 
 
-def _cmd_row(ns) -> CommandOutput:
-    return _expansion_output(monomial_to_schur(ns.lam).items())
+def _cmd_row(ns, out) -> int:
+    return _write_expansion(out, ns, monomial_to_schur(ns.lam).items())
 
 
-def _cmd_matrix(ns) -> None:
+def _cmd_matrix(ns, out) -> int:
     # the labels come first, so a bad weight is refused before any output;
     # then each row is written as soon as it is computed
     labels, rows = _weight_rows(ns.weight, ns.inverse)
-    _MATRIX_WRITERS[ns.format](sys.stdout, ns, labels, rows)
-
-
-def _write_matrix_plain(out, ns, labels, rows) -> None:
     names = [str(p) for p in labels]
-    out.write("columns: " + " ".join(names) + "\n")
-    for name, row in zip(names, rows):
-        out.write(f"{name}: " + " ".join(map(str, row)) + "\n")
+    cell = cache(str)  # json only: most cells repeat (76% are 0 at weight 20)
+    result = {"labels": [_parts_json(p) for p in labels],
+              "rows": (tuple(map(cell, row)) for row in rows)}
+    lines = chain(["columns: " + " ".join(names)],
+                  (f"{name}: " + " ".join(map(str, row)) for name, row in zip(names, rows)))
+    _write(out, ns, result, lines,
+           chain([["", *names]], ([name, *row] for name, row in zip(names, rows))))
+    return 0
 
 
-def _write_matrix_csv(out, ns, labels, rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["", *labels])
-    for label, row in zip(labels, rows):
-        writer.writerow([label, *row])
+def _cmd_chains(ns, out) -> int:
+    walk = _chain_walk(ns.lam, ns.mu, ns.family)
+    # every chain has one step per part of lambda, so a walk too deep for
+    # the recursion limit fails on its first chain: pull it before any output
+    first = next(walk, None)
+    name = cache(str)  # steps repeat across chains; each partition is named once
+    total = 0
+
+    def chains():
+        nonlocal total
+        for c in chain(() if first is None else (first,), walk):
+            total += c.sign
+            yield c, c.b_values if ns.family == "S" else c.a_values
+
+    def lines():
+        count = 0
+        for count, (c, vals) in enumerate(chains(), 1):
+            path = "".join(f" <- {name(p)}(j={j})" for p, j in c.steps)
+            yield f"{c.sign:+d} values={','.join(map(str, vals))} path=[]{path}"
+        yield f"count: {count}"
+        yield f"signed sum: {total}"
+
+    # the signed sum is read after the chains, when json reaches its key
+    result = {"chains": ({"steps": [{"partition": _parts_json(p), "j": j} for p, j in c.steps],
+                          "values": vals, "sign": c.sign} for c, vals in chains()),
+              "signed_sum": lambda: str(total)}
+    rows = chain([("index", "sign", "values", "steps")], (
+        (idx, c.sign, " ".join(map(str, vals)), ";".join(f"{name(p)}:{j}" for p, j in c.steps))
+        for idx, (c, vals) in enumerate(chains())))
+    _write(out, ns, result, lines(), rows)
+    return 0
 
 
-def _write_matrix_json(out, ns, labels, rows) -> None:
-    # the bytes of json.dumps({"query": ..., "result": {"labels": ...,
-    # "rows": ...}}, indent=2), written a row at a time.  An encoded value
-    # nests one level deeper by indenting each of its lines, since no
-    # encoded string holds a raw newline; cells are decimal strings, which
-    # need no escaping.  A weight has at least one partition, so "rows" is
-    # never the empty list.
-    query = json.dumps(_query(ns), indent=2).replace("\n", "\n  ")
-    parts = json.dumps([_parts_json(p) for p in labels], indent=2).replace("\n", "\n    ")
-    out.write(f'{{\n  "query": {query},\n  "result": {{\n    "labels": {parts},\n    "rows": [')
-    sep = "\n      "
-    for row in rows:
-        out.write(sep + '[\n        "' + '",\n        "'.join(map(str, row)) + '"\n      ]')
-        sep = ",\n      "
-    out.write("\n    ]\n  }\n}\n")
+def _cmd_fpoly(ns, out) -> int:
+    return _write_poly(out, ns, f_polynomial(ns.lam, ns.mu, ns.n))
 
 
-_MATRIX_WRITERS = {"plain": _write_matrix_plain, "csv": _write_matrix_csv,
-                   "json": _write_matrix_json}
-
-
-def _cmd_chains(ns) -> CommandOutput:
-    lam, mu = ns.lam, ns.mu
-    if ns.family == "S":
-        chains = enumerate_chains_S(lam, mu)
-        values = [c.b_values for c in chains]
-    else:
-        chains = enumerate_chains_T(lam, mu)
-        values = [c.a_values for c in chains]
-    total = sum(c.sign for c in chains)
-    result = {
-        "chains": [
-            {
-                "steps": [{"partition": _parts_json(p), "j": j} for p, j in c.steps],
-                "values": list(vals),
-                "sign": c.sign,
-            }
-            for c, vals in zip(chains, values)
-        ],
-        "signed_sum": str(total),
-    }
-    plain = []
-    for c, vals in zip(chains, values):
-        path = " <- ".join(f"{p}(j={j})" for p, j in c.steps)
-        s = "+" if c.sign > 0 else "-"
-        plain.append(f"{s}1 values={','.join(map(str, vals))} path=[] <- {path}" if c.steps
-                     else f"{s}1 values= path=[]")
-    plain.append(f"count: {len(chains)}")
-    plain.append(f"signed sum: {total}")
-    rows = [["index", "sign", "values", "steps"]]
-    for idx, (c, vals) in enumerate(zip(chains, values)):
-        steps = ";".join(f"{p}:{j}" for p, j in c.steps)
-        rows.append([str(idx), str(c.sign), " ".join(map(str, vals)), steps])
-    return CommandOutput(result, plain, rows)
-
-
-def _cmd_fpoly(ns) -> CommandOutput:
-    return _poly_output(f_polynomial(ns.lam, ns.mu, ns.n))
-
-
-def _cmd_hpoly(ns) -> CommandOutput:
+def _cmd_hpoly(ns, out) -> int:
     poly = h_polynomial(ns.b)
     if ns.mod is not None:
         poly = poly.reduce_mod(ns.mod)
-    return _poly_output(poly)
+    return _write_poly(out, ns, poly)
 
 
-def _cmd_gpoly(ns) -> CommandOutput:
-    return _poly_output(g_polynomial(ns.k, ns.l))
+def _cmd_gpoly(ns, out) -> int:
+    return _write_poly(out, ns, g_polynomial(ns.k, ns.l))
 
 
-def _cmd_steenrod(ns) -> CommandOutput:
+def _cmd_steenrod(ns, out) -> int:
     if ns.op == "Sq":
         if ns.p not in (None, 2):
             raise UsageError("--p is fixed to 2 for --op Sq")
@@ -223,23 +190,18 @@ def _cmd_steenrod(ns) -> CommandOutput:
         if ns.p is None:
             ns.p = 3
         expansion = steenrod_P(ns.k, ns.m, ns.p)
-    return _expansion_output(expansion.items())
+    return _write_expansion(out, ns, expansion.items())
 
 
-def _cmd_verify(ns) -> CommandOutput:
+def _cmd_verify(ns, out) -> int:
     report = verify_suite(ns.max_weight)
-    result = {
-        "max_weight": report.max_weight,
-        "ok": report.ok,
-        "suites": [
-            {"name": s.name, "passed": s.passed, "checked": s.checked, "detail": s.detail}
-            for s in report.suites
-        ],
-    }
-    rows = [["suite", "passed", "checked", "detail"]] + [
-        [s.name, str(s.passed).lower(), str(s.checked), s.detail] for s in report.suites
-    ]
-    return CommandOutput(result, report.summary_lines(), rows, exit_code=0 if report.ok else 3)
+    suites = [{"name": s.name, "passed": s.passed, "checked": s.checked, "detail": s.detail}
+              for s in report.suites]
+    rows = chain([("suite", "passed", "checked", "detail")], (
+        (s.name, str(s.passed).lower(), s.checked, s.detail) for s in report.suites))
+    _write(out, ns, {"max_weight": report.max_weight, "ok": report.ok, "suites": suites},
+           report.summary_lines(), rows)
+    return 0 if report.ok else 3
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +293,50 @@ def _query(ns) -> dict:
     }
 
 
-def _render(out: CommandOutput, ns) -> None:
-    if out.result is None and out.exit_code:
-        return
-    if ns.format == "json":
-        print(json.dumps({"query": _query(ns), "result": out.result}, indent=2))
-    elif ns.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(out.csv_rows)
-        sys.stdout.write(buf.getvalue())
+def _json_pieces(value, indent=""):
+    """The text of ``json.dumps(value, indent=2)``, nested at ``indent``, in
+    pieces.  A dict is written key by key and a generator as a list, item by
+    item; a zero-argument callable is replaced by its value when it is
+    reached.  A non-empty tuple must hold only scalars: it is encoded in one
+    call, as a row of a table.  Any other value is encoded whole and nested
+    by indenting its lines, since no encoded string holds a raw newline."""
+    if callable(value):
+        value = value()
+    inner = indent + "  "
+    if type(value) is dict and value:
+        sep = "{\n" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif type(value) is GeneratorType:
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _json_pieces(item, inner)
+            sep = ",\n" + inner
+        yield "[]" if sep[0] == "[" else "\n" + indent + "]"
+    elif type(value) is tuple and value:
+        row = json.dumps(value, separators=(",\n" + inner, ": "))
+        yield "[\n" + inner + row[1:-1] + "\n" + indent + "]"
     else:
-        for line in out.plain:
-            print(line)
+        yield json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _write(out, ns, result, lines, rows) -> None:
+    """Write ``ns.format`` only: ``{"query": ..., "result": result}`` for
+    json, the plain ``lines`` or the csv ``rows``.  Each is consumed as it is
+    written, so a generator holds only what is still to come."""
+    if ns.format == "json":
+        for piece in _json_pieces({"query": _query(ns), "result": result}):
+            out.write(piece)
+        out.write("\n")
+    elif ns.format == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    else:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def _report(message: str) -> None:
@@ -357,9 +351,7 @@ def _report(message: str) -> None:
 def run(argv: list[str]) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        out = ns.handler(ns)  # None when the handler wrote its own output
-        if out is not None:
-            _render(out, ns)
+        code = ns.handler(ns, sys.stdout)
         sys.stdout.flush()
     except UsageError as e:
         _report(f"usage error: {e}")
@@ -373,7 +365,7 @@ def run(argv: list[str]) -> int:
     except OSError as e:  # stdout failed: a closed pipe, a full disk
         _report(f"error: cannot write the output: {e.strerror or e}")
         return 2
-    return 0 if out is None else out.exit_code
+    return code
 
 
 def main() -> None:

@@ -34,8 +34,9 @@ part of lam and carries every mu' that goes with it, for duan the stored
 strip predecessors and for er the one reduction.  The memoized engine
 sums its own entries over them from its own frame, so a step adds no stack
 depth.  The same moves serve twice more: the S and T chains, whose signed
-counts reproduce the entry, unroll them down to the empty pair (the S walk
-decodes ids to part tuples only to record each step), and the
+counts reproduce the entry, unroll them down to the empty pair in one lazy
+walk, which the enumerations collect and the CLI writes chain by chain (the
+S walk decodes ids to part tuples only to record each step), and the
 Corollary 1 check sums strip-engine entries over one move of each step.  On
 top of these sit the signed-solution polynomial f and labeled matrix
 builders for whole-weight tables.  The matrix and row builders call the
@@ -434,8 +435,8 @@ def _chains(lam, mu, moves, chain, decode):
     takes, down to the empty pair; ``decode`` turns that form into parts.  A
     chain's sign is the product of its move signs; each step records
     (mu^i, j) and, as its value, the part of lam that the move spends.
-    Chains come in depth-first order, each with its steps listed from the
-    empty end."""
+    The returned generator yields chains in depth-first order, each with its
+    steps listed from the empty end."""
 
     def walk(lam, mu, sign: int, steps: tuple):
         if not lam:  # every move keeps the weights equal, so mu is empty too
@@ -448,17 +449,23 @@ def _chains(lam, mu, moves, chain, decode):
             for omega in omegas:
                 yield from walk(reduced, omega, sign * s, (step,) + steps)
 
-    return list(walk(lam, mu, 1, ()))
+    return walk(lam, mu, 1, ())
+
+
+def _chain_walk(lam: Partition, mu: Partition, family: str):
+    """The S or T chains of a pair as a generator; the weights are checked at once."""
+    check_same_weight(lam, mu)
+    if family == "S":
+        return _chains(_intern(lam.parts), _intern(mu.parts), _duan_moves, ChainS, _decode)
+    return _chains(lam.parts, mu.parts, _er_moves, ChainT, lambda parts: parts)
 
 
 def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:
-    check_same_weight(lam, mu)
-    return _chains(_intern(lam.parts), _intern(mu.parts), _duan_moves, ChainS, _decode)
+    return list(_chain_walk(lam, mu, "S"))
 
 
 def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
-    check_same_weight(lam, mu)
-    return _chains(lam.parts, mu.parts, _er_moves, ChainT, lambda parts: parts)
+    return list(_chain_walk(lam, mu, "T"))
 
 
 # ---------------------------------------------------------------------------

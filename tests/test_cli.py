@@ -2,9 +2,10 @@
 
 Frozen output bytes and exit codes live in the golden transcript
 (``golden/cli_transcript.txt``, replayed by ``test_golden_cli.py``).  This
-file keeps agreement with the library, monkeypatched engines, memo state,
-output errors, the subprocess entry point, determinism across reruns, and
-the few outputs and exit codes that no record holds."""
+file keeps agreement with the library and with the built-then-rendered
+``chains`` of before streaming, the streaming json encoder, monkeypatched
+engines, memo state, output errors, the subprocess entry point, determinism
+across reruns, and the few outputs and exit codes that no record holds."""
 
 import csv
 import errno
@@ -13,14 +14,23 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import invkostka.cli as cli
-from invkostka.cli import run
-from invkostka.inverse import inverse_kostka_matrix, kostka_matrix
-from invkostka.partitions import Partition
+from invkostka.cli import _parts_json, _query, run
+from invkostka.inverse import (
+    ChainS,
+    enumerate_chains_S,
+    enumerate_chains_T,
+    inverse_kostka_matrix,
+    kostka_matrix,
+)
+from invkostka.partitions import Partition, enumerate_partitions
 
 
 def invoke(capsys, *argv):
@@ -88,6 +98,129 @@ def test_matrix_formats_agree_with_the_library(capsys):
             for fmt in ("plain", "csv", "json"):
                 got = invoke(capsys, *argv, "--format", fmt)
                 assert got == (0, _built_matrix_text(mat, query, fmt), ""), (m, inverse, fmt)
+
+
+@dataclass
+class CommandOutput:
+    result: object
+    plain: list[str]
+    csv_rows: list[list[str]] = field(default_factory=list)
+    exit_code: int = 0
+
+
+# the chains command as it was when it built every format before writing:
+# the reference that the streamed output must equal byte for byte
+def _reference_cmd_chains(ns) -> CommandOutput:
+    lam, mu = ns.lam, ns.mu
+    if ns.family == "S":
+        chains = enumerate_chains_S(lam, mu)
+        values = [c.b_values for c in chains]
+    else:
+        chains = enumerate_chains_T(lam, mu)
+        values = [c.a_values for c in chains]
+    total = sum(c.sign for c in chains)
+    result = {
+        "chains": [
+            {
+                "steps": [{"partition": _parts_json(p), "j": j} for p, j in c.steps],
+                "values": list(vals),
+                "sign": c.sign,
+            }
+            for c, vals in zip(chains, values)
+        ],
+        "signed_sum": str(total),
+    }
+    plain = []
+    for c, vals in zip(chains, values):
+        path = " <- ".join(f"{p}(j={j})" for p, j in c.steps)
+        s = "+" if c.sign > 0 else "-"
+        plain.append(f"{s}1 values={','.join(map(str, vals))} path=[] <- {path}" if c.steps
+                     else f"{s}1 values= path=[]")
+    plain.append(f"count: {len(chains)}")
+    plain.append(f"signed sum: {total}")
+    rows = [["index", "sign", "values", "steps"]]
+    for idx, (c, vals) in enumerate(zip(chains, values)):
+        steps = ";".join(f"{p}:{j}" for p, j in c.steps)
+        rows.append([str(idx), str(c.sign), " ".join(map(str, vals)), steps])
+    return CommandOutput(result, plain, rows)
+
+
+def _reference_render(out: CommandOutput, ns) -> None:
+    if out.result is None and out.exit_code:
+        return
+    if ns.format == "json":
+        print(json.dumps({"query": _query(ns), "result": out.result}, indent=2))
+    elif ns.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(out.csv_rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        for line in out.plain:
+            print(line)
+
+
+def test_chains_stream_the_bytes_of_the_built_output(capsys):
+    parser = cli.build_parser()  # built once: run would build it for every pair
+    for m in range(7):
+        labels = [str(p) for p in enumerate_partitions(m)]
+        for lam in labels:
+            for mu in labels:
+                for family in ("S", "T"):
+                    for fmt in ("plain", "json", "csv"):
+                        ns = parser.parse_args(["chains", "--family", family, "--lambda", lam,
+                                                "--mu", mu, "--format", fmt])
+                        _reference_render(_reference_cmd_chains(ns), ns)
+                        want = capsys.readouterr().out
+                        assert ns.handler(ns, sys.stdout) == 0
+                        assert capsys.readouterr() == (want, ""), (family, lam, mu, fmt)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.floats() | st.text()
+
+
+def _plain_values():
+    return st.recursive(
+        _SCALARS | st.tuples() | st.lists(_SCALARS, max_size=4).map(tuple),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+
+
+def _lazy(value, rnd):
+    """``value`` with lists turned into generators and values into zero-argument
+    callables at random, wherever the encoder walks: at the top, in a dict
+    and in a generator.  A list kept as a list is encoded whole, so it stays
+    plain inside."""
+    if type(value) is dict:
+        value = {k: _lazy(v, rnd) for k, v in value.items()}
+    elif type(value) is list and rnd.random() < 0.5:
+        value = (item for item in [_lazy(v, rnd) for v in value])
+    if rnd.random() < 0.25:
+        value = (lambda v: lambda: v)(value)
+    return value
+
+
+@given(_plain_values(), st.randoms(use_true_random=False))
+def test_the_streaming_json_encoder_writes_the_text_of_json_dumps(value, rnd):
+    assert "".join(cli._json_pieces(_lazy(value, rnd))) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_closed_pipe_stops_the_chain_walk(capsys, monkeypatch, fmt):
+    # 5,040 chains; the first is pulled before any output, and a stdout that
+    # fails on its first write asks for no more
+    built = []
+
+    def chain_s(*args):
+        built.append(args)
+        return ChainS(*args)
+
+    monkeypatch.setattr("invkostka.inverse.ChainS", chain_s)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(0, BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    code = run(["chains", "--family", "S", "--lambda", "[1,2,3,4,5,6,7]", "--mu", "1^28",
+                "--format", fmt])
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write the output: Broken pipe\n")
+    assert 1 <= len(built) <= 2
 
 
 def test_steenrod_square_json(capsys):
@@ -201,6 +334,9 @@ class _FailingStdout:
     ["row", "--lambda", "1^6", "--format", "json"],
     ["hpoly", "30"],
     ["verify", "--max-weight", "2"],
+    ["chains", "--family", "S", "--lambda", "[1,2,3]", "--mu", "1^6"],
+    ["chains", "--family", "T", "--lambda", "[1,2,3]", "--mu", "1^6", "--format", "csv"],
+    ["chains", "--family", "S", "--lambda", "[1,2,3]", "--mu", "1^6", "--format", "json"],
 ])
 def test_output_errors_exit_2_without_traceback(capsys, monkeypatch, argv):
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -232,14 +368,21 @@ def test_closed_pipe_stops_the_matrix_work(capsys, monkeypatch, fmt):
     assert _duan_recurse.cache_info().currsize < full_memo / 10
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-def test_a_failing_stderr_leaves_the_exit_code(monkeypatch, fmt):
+@pytest.mark.parametrize("argv, code", [
+    *(pytest.param(["matrix", "--weight", "5", "--inverse", "--format", fmt], 2, id=fmt)
+      for fmt in ("plain", "csv", "json")),
+    # the engines disagree (er is patched below), which no stdout failure can hide
+    pytest.param(["entry", "--lambda", "[1,2]", "--mu", "[1,1,1]", "--engine", "all"], 3,
+                 id="engine-disagreement"),
+])
+def test_a_failing_stderr_leaves_the_exit_code(monkeypatch, argv, code):
     # a closed pipe that carries both streams (2>&1 | head -1) fails the
-    # error line too; run still returns 2 and raises nothing
+    # error line too; run still returns its exit code and raises nothing
     pipe = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    monkeypatch.setattr(cli, "inv_kostka_er", lambda lam, mu: 99)
     monkeypatch.setattr(sys, "stdout", _FailingStdout(0, pipe))
     monkeypatch.setattr(sys, "stderr", _FailingStdout(0, pipe))
-    assert run(["matrix", "--weight", "5", "--inverse", "--format", fmt]) == 2
+    assert run(argv) == code
 
 
 def _module_command(argv, **kwargs):

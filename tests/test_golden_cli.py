@@ -4,8 +4,10 @@ stderr byte for byte.
 
 The transcript covers every README example in all three formats, the
 ``verify --max-weight 6`` sweep, extra chain, matrix, entry and Steenrod
-queries, the exit-1, exit-2 and exit-3 probes, and three inputs too deep
-for the recursion limit (two entries, one chain).  A record is::
+queries, the exit-1, exit-2 and exit-3 probes, and inputs too deep for
+the recursion limit: two entries and one chain, the chain in plain and in
+json (which must refuse it before it writes the ``query`` head).  A record
+is::
 
     @@ argv <JSON list>
     @@ patch <cli attribute> <int>      (optional: the attribute is replaced
