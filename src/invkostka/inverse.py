@@ -39,19 +39,15 @@ walk, which the enumerations collect and the CLI writes chain by chain (the
 S walk decodes ids to part tuples only to record each step), and the
 Corollary 1 check sums strip-engine entries over one move of each step.  On
 top of these sit the signed-solution polynomial f and labeled matrix
-builders for whole-weight tables.  The matrix and row builders call the
-entry on ids directly: every partition they enumerate has the weight they
-were given, so they skip the per-entry weight check of the public entry
-functions.  The matrix builders and the CLI's ``matrix`` command share one
-lazy row generator, so the CLI can write each row as soon as it is
-computed.  That generator does not memoize its own entries, only their
-sub-entries: every step removes a part, so an entry of weight m is read
-back only from a higher weight, which a table of weight m never asks for.
-The entries of one matrix row read the same sub-entries many times, so
-the generator reads them through tables of the row's own, one per one-part
-removal of its partition, which go with the row.  The entry functions and
-the row builder (``monomial_to_schur``) still memoize their entries, which
-later and heavier queries of a long-lived caller read back.
+builders for whole-weight tables.  The matrix builders and the CLI's
+``matrix`` command share one lazy row generator, so the CLI can write each
+row as soon as it is computed.  Every partition it enumerates has the weight
+it was given, so it calls the entry on ids without the per-entry weight
+check of the public entry functions.  A row sums its entries that keep the
+weight itself, without the memo, and reads their sub-entries through tables
+of its own (``_inverse_row``).  The entry functions and the row builder
+(``monomial_to_schur``) memoize their entries, which later and heavier
+queries of a long-lived caller read back.
 """
 
 from __future__ import annotations
@@ -181,23 +177,21 @@ def inv_kostka_duan(lam: Partition, mu: Partition) -> int:
     return _duan_entry(_intern(lam.parts), _intern(mu.parts))
 
 
-def _duan_entry(lam: int, mu: int, finish=None) -> int:
-    """The entry of a pair of ids: tail-reduce it, decide the trivial and the
+def _duan_entry(lam: int, mu: int) -> int:
+    """The entry of a pair of ids: tail-reduce it, decide the empty and the
     cancelling cases, and sum a pair that is left through the memo (looked up
-    on each call).  ``finish``, if given, sums a pair that kept its weight
-    instead; a reduced pair has a lower weight and always takes the memo."""
+    on each call)."""
     # memo key is the pair of ids after tail reduction; the reduced form also
     # makes the cancellation tests cheap
     while lam and _top[lam] == _top[mu]:
         lam = _rest[lam]
         mu = _rest[mu]
-        finish = None
     if not lam:  # every move keeps the weights equal, so mu is empty too
         return 1
     # now the largest parts differ, so the last-nonzero order is decided there
     if _length[lam] > _length[mu] or _top[lam] < _top[mu]:
         return 0
-    return (finish or _duan_recurse)(lam, mu)
+    return _duan_recurse(lam, mu)
 
 
 def _duan_sum(lam: int, mu: int) -> int:
@@ -532,18 +526,24 @@ class _SubEntries(dict):
 
 def _inverse_row(lam: int, ids: tuple[int, ...]) -> tuple[int, ...]:
     """Row ``lam`` of the inverse Kostka matrix over the ids of its weight.
-    An entry that keeps the weight through the tail reduction and the zero
-    gate is summed here, unmemoized, and reads its sub-entries through one
-    table per removal of lam; the tables go with the row."""
+    A pair whose largest parts agree, or that the zero gate decides, goes to
+    the entry.  A pair left keeps the weight and is summed here, reading its
+    sub-entries through one table per removal of lam; at weight 20 each is
+    read about 11 times.  The tables go with the row."""
     reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
-
-    def finish(row: int, mu: int) -> int:
+    top, length = _top[lam], _length[lam]
+    row = []
+    for mu in ids:
+        if _top[mu] >= top or _length[mu] < length:
+            row.append(_duan_entry(lam, mu))
+            continue
+        # an entry of weight m is read back only from a higher weight, which
+        # a table of weight m never asks for, so it must never enter the memo
         total = 0
-        for sign, _, reduced, omegas in _duan_moves(row, mu):
+        for sign, _, reduced, omegas in _duan_moves(lam, mu):
             total += sign * sum(map(reads[reduced], omegas))
-        return total
-
-    return tuple(_duan_entry(lam, mu, finish) for mu in ids)
+        row.append(total)
+    return tuple(row)
 
 
 def _weight_rows(m: int, inverse: bool):
@@ -551,13 +551,9 @@ def _weight_rows(m: int, inverse: bool):
     the inverse Kostka matrix over them (the Kostka matrix, if not inverse)
     that computes each row only when it is asked for.  The weight is checked
     here, before any row.  Every partition of m has weight m, so the entries
-    skip the weight check: the strip engine takes the ids of the weight and
-    tableau counting the part tuples.  An entry of weight m is summed
-    without the memo (for duan, one that keeps its weight through the tail
-    reduction and the zero gate): no entry of weight m is read back while
-    the table is built, so only the sub-entries below m are memoized.  The
-    entries of one duan row share their sub-entries, about ten reads each
-    at weight 20, so the row reads them through tables of its own."""
+    skip the weight check: duan rows (``_inverse_row``) take the ids of the
+    weight and tableau counting the part tuples.  Neither memoizes an entry
+    of weight m, only the sub-entries below it."""
     labels = tuple(enumerate_partitions(m))
     if inverse:
         ids = _weight_ids(m)
@@ -594,9 +590,7 @@ def verify_corollary1(lam: Partition, mu: Partition) -> Corollary1Check:
     sub-entries from the strip engine, and compare the two sums."""
     check_same_weight(lam, mu)
     a, b = lam.parts, mu.parts
-    lhs = sum(
-        s * _duan_entry(l, m) for s, _, l, ms in _duan_moves(_intern(a), _intern(b)) for m in ms
-    )
+    lhs = _duan_sum(_intern(a), _intern(b))
     rhs = sum(
         s * _duan_entry(_intern(l), _intern(m)) for s, _, l, ms in _er_moves(a, b) for m in ms
     )

@@ -14,6 +14,10 @@ from itertools import groupby
 from typing import Iterable, Iterator
 
 
+def _canonical(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return len(parts), parts
+
+
 class WeightMismatchError(ValueError):
     """Two partitions were required to have the same weight but do not."""
 
@@ -102,7 +106,7 @@ class Partition:
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical enumeration key: graded by length, then lexicographic."""
-        return (len(self.parts), self.parts)
+        return _canonical(self.parts)
 
     def padded(self, n: int) -> tuple[int, ...]:
         """The partition as an n-vector with leading zeros, largest part last."""
@@ -252,10 +256,6 @@ def _strip_walk(
             for k in range(max(0, left - after - spare), min(mult, left) + 1)
         ]
     return states
-
-
-def _canonical(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return len(parts), parts
 
 
 def _strip_predecessor_tables(

@@ -469,6 +469,8 @@ def test_one_step_expansion_identity_sweep():
         parts = enumerate_partitions(m)
         for lam in parts:
             for mu in parts:
-                assert verify_corollary1(lam, mu).equal, (lam, mu)
+                res = verify_corollary1(lam, mu)
+                assert res.equal, (lam, mu)
+                assert res.lhs == res.rhs == inv_kostka_duan(lam, mu), (lam, mu)
 
 
