@@ -19,13 +19,13 @@ The strip engine runs on partition ids.  Every part tuple it meets is
 interned once into a table beside it, which keeps per id the largest part,
 the length, the id without the largest part and, filled on first use, the
 strip predecessors as ids.  A step that meets a strip size the column lacks
-fills, with one strip walk, every size it asks for that the column lacks
-and every size between those.  Two memos over one int sit beside the table:
-the one-part removals of an id and the ids of the partitions of a weight.
-So the engine's memo hashes two small ints, and its step reads stored ids
-instead of slicing and hashing tuples.  The public entry points intern
-their arguments once, and the row and matrix builders intern the
-partitions of a weight once.  Only duan uses the table; er and brute run on
+fills that size alone, with one strip walk of exactly that size; a strip
+longer than the partition is stored empty without a walk.  Two memos over
+one int sit beside the table: the one-part removals of an id and the ids of
+the partitions of a weight.  So the engine's memo hashes two small ints, and
+its step reads stored ids instead of slicing and hashing tuples.  The public
+entry points intern their arguments once, and the row and matrix builders
+intern the partitions of a weight once.  Only duan uses the table; er and brute run on
 part tuples.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
@@ -61,7 +61,7 @@ from .partitions import (
     _er_reduce,
     _inversions,
     _last_nonzero_cmp,
-    _strip_predecessor_tables,
+    _strip_predecessors,
     check_same_weight,
     enumerate_partitions,
 )
@@ -212,7 +212,9 @@ def _duan_moves(lam: int, mu: int):
     one v from lam and, from the rest of mu, a vertical strip of size
     j = v - max(mu), with sign (-1)^j.  ``omegas`` are the ids that removing
     that strip leaves, in canonical order; a part that leaves none makes no
-    move."""
+    move.  A size missing from the strip column of the rest of mu is filled
+    on first use by one walk of that size, or stored empty without a walk
+    when it is longer than the rest."""
     if not mu:
         return  # nothing to peel
     mu_max = _top[mu]
@@ -220,39 +222,19 @@ def _duan_moves(lam: int, mu: int):
     preds = _preds[rest]
     if preds is None:
         preds = _preds[rest] = {}
-    removals = _part_removals(lam)
-    for value, reduced in removals:
+    for value, reduced in _part_removals(lam):
         strip = value - mu_max
         if strip < 0:
             continue
         omegas = preds.get(strip)
         if omegas is None:
-            _fill_strips(rest, preds, [v - mu_max for v, _ in removals if v >= value])
-            omegas = preds[strip]
+            omegas = preds[strip] = (
+                tuple(map(_intern, _strip_predecessors(_decode(rest), strip)))
+                if strip <= _length[rest]
+                else ()
+            )
         if omegas:
             yield (-1 if strip % 2 else 1), strip, reduced, omegas
-
-
-def _fill_strips(rest: int, preds: dict[int, tuple[int, ...]], sizes: list[int]) -> None:
-    """Store in ``preds``, the strip column of id ``rest``, every size of the
-    ascending list ``sizes`` that it lacks.  A size above the length of rest
-    has no predecessors; the others, and every size between them, come from
-    one walk.  No size below the smallest asked is walked or kept: from a
-    long rest such as a staircase, those can be many more partitions."""
-    length = _length[rest]
-    wanted = []
-    for size in sizes:
-        if size not in preds:
-            if size > length:
-                preds[size] = ()
-            else:
-                wanted.append(size)
-    if wanted:
-        lo = wanted[0]
-        tables = _strip_predecessor_tables(_decode(rest), lo, wanted[-1])
-        for size, found in enumerate(tables, lo):
-            if size not in preds:
-                preds[size] = tuple(map(_intern, found))
 
 
 # ---------------------------------------------------------------------------

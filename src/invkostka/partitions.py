@@ -229,21 +229,21 @@ def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
 # by one box each, no part twice; one count k per block of equal parts hits
 # each result once.  Step -1 takes a box from k parts of the block, +1 adds
 # one.  Each state is (parts so far, strip left); a block takes at most what
-# is left, so a spent strip stops branching instead of trying every choice,
-# and at least what the parts after it cannot take beyond ``spare``, so a
-# state that could not end with at most ``spare`` left is never made.  The
-# parts so far come out sorted: the k moved copies of a block go before its
-# unmoved ones for step -1 (a part equal to 1 that loses its box is dropped)
-# and after them for step +1, and every earlier part is at most the block's
-# smaller value.
-def _strip_walk(
-    parts: tuple[int, ...], r: int, step: int, spare: int
-) -> list[tuple[tuple[int, ...], int]]:
+# is left, so a spent strip stops branching instead of trying every choice.
+# For step -1 it also takes at least what the parts after it cannot, so every
+# state made ends with the whole strip spent; for step +1 what is left over
+# becomes new parts.  The parts so far come out sorted: the k moved copies of
+# a block go before its unmoved ones for step -1 (a part equal to 1 that
+# loses its box is dropped) and after them for step +1, and every earlier
+# part is at most the block's smaller value.
+def _strip_walk(parts: tuple[int, ...], r: int, step: int) -> list[tuple[tuple[int, ...], int]]:
     states: list[tuple[tuple[int, ...], int]] = [((), r)]
     after = len(parts)
     for value, group in groupby(parts):
         mult = len(list(group))
         after -= mult
+        # how much of the strip the parts after this block can still take
+        slack = after if step < 0 else r
         moved = (value + step,) if value + step else ()
         # the block with k of its parts moved, for every k the strip can pay
         if step < 0:
@@ -253,33 +253,25 @@ def _strip_walk(
         states = [
             (acc + block[k], left - k)
             for acc, left in states
-            for k in range(max(0, left - after - spare), min(mult, left) + 1)
+            for k in range(max(0, left - slack), min(mult, left) + 1)
         ]
     return states
 
 
-def _strip_predecessor_tables(
-    parts: tuple[int, ...], lo: int, hi: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The vertical strip predecessors of a part tuple for each strip size
-    lo..hi (0 <= lo <= hi), each table in canonical order, from one walk."""
-    span = hi - lo
-    tables: list[list[tuple[int, ...]]] = [[] for _ in range(span + 1)]
-    for acc, left in _strip_walk(parts, hi, -1, span):
-        if left <= span:  # only an empty part tuple can leave more
-            tables[span - left].append(acc)
-    return tuple(tuple(sorted(found, key=_canonical)) for found in tables)
+def _strip_predecessors(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """The vertical r-strip predecessors of a part tuple, in canonical order."""
+    # only an empty part tuple can leave some of the strip
+    found = [acc for acc, left in _strip_walk(parts, r, -1) if not left]
+    return tuple(sorted(found, key=_canonical))
 
 
-@lru_cache(maxsize=None)
-def _strip_predecessors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    return _strip_predecessor_tables(parts, r, r)[0]
+_strip_predecessors_raw = lru_cache(maxsize=None)(_strip_predecessors)
 
 
 @lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     # anything not yet used becomes new parts equal to 1, which go in front
-    found = [(1,) * left + acc for acc, left in _strip_walk(parts, r, 1, r)]
+    found = [(1,) * left + acc for acc, left in _strip_walk(parts, r, 1)]
     return tuple(sorted(found, key=_canonical))
 
 

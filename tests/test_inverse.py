@@ -31,6 +31,7 @@ from invkostka.partitions import (
     WeightMismatchError,
     _er_reduce,
     _last_nonzero_cmp,
+    _strip_predecessors,
     _strip_predecessors_raw,
     check_same_weight,
     distinct_permutations,
@@ -399,6 +400,12 @@ def test_strip_engine_holds_no_tuple_copy_of_its_predecessors():
     inverse_kostka_matrix(12)
     assert any(inverse._preds)
     assert _strip_predecessors_raw.cache_info().currsize == 0
+    # each stored size decodes to the kernel's table in its canonical
+    # order, which the S chains follow
+    for i, column in enumerate(inverse._preds):
+        for size, omegas in (column or {}).items():
+            parts = inverse._decode(i)
+            assert tuple(map(inverse._decode, omegas)) == _strip_predecessors(parts, size)
     vertical_strip_predecessors(P([1, 2, 2]), 2)
     assert _strip_predecessors_raw.cache_info().currsize == 1
 
@@ -416,20 +423,26 @@ def _count_strip_walks(monkeypatch) -> list:
 
 
 def test_a_strip_column_fills_in_one_walk_per_miss(monkeypatch):
-    # a miss walks once for every size its step asks for and the column
-    # lacks; one walk per (id, strip size) made 591 walks here
+    # every stored size no longer than its partition was walked once, alone,
+    # and nothing else was walked
     clear_caches()
     walks = _count_strip_walks(monkeypatch)
     inverse_kostka_matrix(12)
-    assert len(walks) == 214
+    walked = sorted((inverse._intern(parts), r) for parts, r, _ in walks)
+    filled = sorted(
+        (i, size)
+        for i, column in enumerate(inverse._preds)
+        for size in column or ()
+        if size <= inverse._length[i]
+    )
+    assert walked == filled and len(walked) == 388
     assert inverse._duan_recurse.cache_info().currsize == 836
     assert len(inverse._top) == 272
 
 
 def test_strip_walks_keep_only_the_sizes_a_step_asks_for(monkeypatch):
-    # a strip longer than the rest of mu walks nothing, and no walk keeps a
-    # size below the smallest its step asked for: every size of the rest
-    # (1, ..., 15) from 0 up would intern 65,524 ids instead of 20
+    # a strip longer than the rest of mu walks nothing, and a walk keeps the
+    # one size it was asked for: here 15 of the rest (1, ..., 15)
     clear_caches()
     walks = _count_strip_walks(monkeypatch)
     assert inv_kostka_duan(P([136]), P(range(1, 17))) == 0
@@ -437,6 +450,16 @@ def test_strip_walks_keep_only_the_sizes_a_step_asks_for(monkeypatch):
     clear_caches()
     assert inv_kostka_duan(P([31, 105]), P(range(1, 17))) == 0
     assert len(walks) == 1 and len(inverse._top) == 20
+
+
+def test_a_wide_gap_between_strip_sizes_interns_no_size_between(monkeypatch):
+    # the step on the rest (1, ..., 15) asks for sizes 1 and 14 only;
+    # keeping every size between them too would intern 74,406 ids
+    clear_caches()
+    walks = _count_strip_walks(monkeypatch)
+    assert inv_kostka_duan(P([17, 30, 89]), P(range(1, 17))) == 0
+    assert len(inverse._top) == 10208
+    assert len(walks) == 17
 
 
 def test_clearing_the_id_table_clears_the_duan_memo():
