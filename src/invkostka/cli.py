@@ -7,10 +7,10 @@ row as soon as it is computed, so it never holds the whole matrix;
 1 on a usage error (bad flags, partition literal unparseable or too large
 to represent or to hold), 2 on a computation domain error (weight
 mismatch, formula outside its validity range, input too deep for the
-recursion limit, a Steenrod row too long to hold, any other number too
-large to represent) or when the output cannot be written (a closed pipe,
-a full disk), 3 when a verification fails (self-check suites, or engine
-disagreement under ``entry --engine all``).
+recursion limit, a Steenrod row or an ``fpoly --n`` too long to hold, any
+other number too large to represent) or when the output cannot be written
+(a closed pipe, a full disk), 3 when a verification fails (self-check
+suites, or engine disagreement under ``entry --engine all``).
 
 Output is deterministic: same arguments, same bytes.  JSON output is
 ``{"query": ..., "result": ...}``, where ``query`` echoes the parsed

@@ -45,9 +45,9 @@ row as soon as it is computed.  Every partition it enumerates has the weight
 it was given, so it calls the entry on ids without the per-entry weight
 check of the public entry functions.  A row sums its entries that keep the
 weight itself, without the memo, and reads their sub-entries through tables
-of its own (``_inverse_row``).  The entry functions and the row builder
-(``monomial_to_schur``) memoize their entries, which later and heavier
-queries of a long-lived caller read back.
+of its own (``_inverse_row``); ``monomial_to_schur``, behind ``row`` and
+``steenrod``, reads the same row.  So a whole-weight result, a matrix or a
+row, memoizes only sub-entries of lower weights, never its own entries.
 """
 
 from __future__ import annotations
@@ -450,14 +450,10 @@ def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
 
 def monomial_to_schur(lam: Partition) -> SchurExpansion:
     """The full row of inverse Kostka entries: the Schur expansion of the
-    monomial symmetric function indexed by lam."""
-    a = _intern(lam.parts)
-    out: dict[Partition, int] = {}
-    for mu, b in zip(enumerate_partitions(lam.weight), _weight_ids(lam.weight)):
-        v = _duan_entry(a, b)
-        if v:
-            out[mu] = v
-    return SchurExpansion._unsafe(out)
+    monomial symmetric function indexed by lam, the matrix's row of lam."""
+    m = lam.weight
+    row = _inverse_row(_intern(lam.parts), _weight_ids(m))
+    return SchurExpansion._unsafe({mu: v for mu, v in zip(enumerate_partitions(m), row) if v})
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,10 @@ class Partition:
         """The partition as an n-vector with leading zeros, largest part last."""
         if n < len(self.parts):
             raise ValueError(f"cannot pad {self} to length {n}")
-        return (0,) * (n - len(self.parts)) + self.parts
+        try:
+            return (0,) * (n - len(self.parts)) + self.parts
+        except MemoryError:
+            raise ValueError(f"cannot pad {self} to length {n}: too many parts") from None
 
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
         """Pairs (value, multiplicity) with values strictly increasing."""

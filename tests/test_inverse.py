@@ -296,7 +296,8 @@ def test_matrix_weight_two():
 
 def test_matrix_rows_match_independent_routes():
     # the whole-weight builders skip the public entry point; check them
-    # against the oracle, the er engine and the row builder
+    # against the oracle and the er engine.  The row builder reads the same
+    # rows, so its check pins only the labels and the zeros it drops
     for m in range(0, 13):
         inv = inverse_kostka_matrix(m)
         assert inv.entries == exact_integer_inverse(kostka_matrix(m).entries)
@@ -330,7 +331,8 @@ def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
 
 def test_whole_weight_tables_memoize_only_lower_weights(monkeypatch):
     # an entry of weight m is read back only from weights above m, so the
-    # builders for weight m sum their own entries and memoize none of them
+    # builders for weight m, the matrices and every row, sum their own
+    # entries and memoize none of them
     clear_caches()
     seen = {"duan": [], "kostka": []}  # weights of the pairs sent to each memo
     sites = {
@@ -348,12 +350,16 @@ def test_whole_weight_tables_memoize_only_lower_weights(monkeypatch):
             weights.clear()
         inverse_kostka_matrix(m)
         kostka_matrix(m)
+        for lam in enumerate_partitions(m):
+            monomial_to_schur(lam)
         assert all(w < m for weights in seen.values() for w in weights), m
     assert all(seen.values())
     monkeypatch.undo()
     clear_caches()
     inverse_kostka_matrix(12)
     kostka_matrix(12)
+    for lam in enumerate_partitions(12):
+        monomial_to_schur(lam)
     assert inverse._duan_recurse.cache_info().currsize == 836
     assert symfunc._kostka_raw.cache_info().currsize == 1208
 

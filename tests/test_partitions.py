@@ -88,6 +88,9 @@ def test_padded_puts_largest_last():
     assert Partition().padded(2) == (0, 0)
     with pytest.raises(ValueError):
         Partition([1, 1, 1]).padded(2)
+    # 10**11 zeros do not fit in memory; the allocation fails at once
+    with pytest.raises(ValueError, match="too many parts"):
+        Partition([1, 2]).padded(10**11)
 
 
 def test_multiplicities_and_counts():

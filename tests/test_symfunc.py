@@ -85,6 +85,8 @@ def test_monomial_symmetric_small():
     assert monomial_symmetric(P(), 2).terms == {(0, 0): 1}
     with pytest.raises(ValueError):
         monomial_symmetric(P([1, 1, 1]), 2)
+    with pytest.raises(ValueError, match="too many parts"):
+        monomial_symmetric(P([1]), 10**11)
 
 
 def test_monomial_symmetric_counts_rearrangements():
