@@ -191,16 +191,11 @@ def h_polynomial_matrix(b: int) -> UniPolynomial:
     return _dot(row, vec)
 
 
-_H_CHECK_BOUND = 10
-
-
 def h_coefficient_check(b: int) -> bool:
     """Verify every coefficient of h_polynomial(b) against the recurrence
-    engine.  Weight grows as 2b, so the check is capped at weight 10."""
+    engine."""
     if b < 0:
         raise FormulaDomainError("b must be non-negative")
-    if 2 * b > _H_CHECK_BOUND:
-        raise ValueError(f"2*b = {2 * b} exceeds bound {_H_CHECK_BOUND}")
     h = h_polynomial(b)
     if h.degree() > 2 * b:
         return False

@@ -17,16 +17,17 @@ compare serves only ``cancellation_zero`` and ``last_nonzero_compare``.
 
 The strip engine runs on partition ids.  Every part tuple it meets is
 interned once into a table beside it, which keeps per id the largest part,
-the length, the id without the largest part and, filled on first use, the
-strip predecessors as ids.  A step that meets a strip size the column lacks
-fills that size alone, with one strip walk of exactly that size; a strip
-longer than the partition is stored empty without a walk.  Two memos over
-one int sit beside the table: the one-part removals of an id and the ids of
-the partitions of a weight.  So the engine's memo hashes two small ints, and
-its step reads stored ids instead of slicing and hashing tuples.  The public
-entry points intern their arguments once, and the row and matrix builders
-intern the partitions of a weight once.  Only duan uses the table; er and brute run on
-part tuples.
+the length and the id without the largest part.  A sparse strip table keeps
+the strip predecessors as ids, filled on first use and only for the ids that
+are the rest of some mu (626 of the 2,714 ids at weight 20).  A step that
+meets a strip size the table lacks fills that size alone, with one
+predecessor walk of exactly that size; a strip longer than the partition is
+stored empty without a walk.  Two memos over one int sit beside the tables:
+the one-part removals of an id and the ids of the partitions of a weight.
+So the engine's memo hashes two small ints, and its step reads stored ids
+instead of slicing and hashing tuples.  The public entry points intern their
+arguments once, and the row and matrix builders intern the partitions of a
+weight once.  Only duan uses the tables; er and brute run on part tuples.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
 written once: on ids for duan, on part tuples for er.  A move removes one
@@ -94,15 +95,16 @@ def tail_reduction(lam: Partition, mu: Partition) -> tuple[Partition, Partition]
 # step per part and the table holds no tuple per prefix: a deep literal such
 # as 1^5000 costs one entry per part.  The tuples that were interned whole
 # are looked up again with one hash.  Per id, the columns hold its largest
-# part, its length and the id without its largest part; then, filled on
-# first use, its vertical strip predecessors as {strip size: ids in
-# canonical order}; None until then.
+# part, its length and the id without its largest part.  The strip table
+# beside them is sparse: only an id that is the rest of some mu (the id of mu
+# without its largest part) gets an entry, {strip size: ids in canonical
+# order}, on first use.
 _id_of: dict[tuple[int, int], int] = {}
 _id_of_parts: dict[tuple[int, ...], int] = {}
 _top: list[int] = [0]
 _length: list[int] = [0]
 _rest: list[int] = [0]
-_preds: list[dict[int, tuple[int, ...]] | None] = [None]
+_preds: dict[int, dict[int, tuple[int, ...]]] = {}
 
 
 def _intern(parts: tuple[int, ...]) -> int:
@@ -118,7 +120,6 @@ def _intern(parts: tuple[int, ...]) -> int:
             _top.append(p)
             _length.append(_length[i] + 1)
             _rest.append(i)
-            _preds.append(None)
         i = j
     _id_of_parts[parts] = i
     return i
@@ -139,11 +140,10 @@ def _clear_ids() -> None:
     partition another id, so the memos over ids go too."""
     for memo in (_duan_recurse, _part_removals, _weight_ids):
         memo.cache_clear()
-    _id_of.clear()
-    _id_of_parts.clear()
-    for column in (_top, _length, _rest, _preds):
+    for table in (_id_of, _id_of_parts, _preds):
+        table.clear()
+    for column in (_top, _length, _rest):
         del column[1:]
-    _preds[0] = None
 
 
 # clear_caches() empties every module-level object with a cache_clear
@@ -212,14 +212,14 @@ def _duan_moves(lam: int, mu: int):
     one v from lam and, from the rest of mu, a vertical strip of size
     j = v - max(mu), with sign (-1)^j.  ``omegas`` are the ids that removing
     that strip leaves, in canonical order; a part that leaves none makes no
-    move.  A size missing from the strip column of the rest of mu is filled
-    on first use by one walk of that size, or stored empty without a walk
-    when it is longer than the rest."""
+    move.  The strip table keeps them by the rest of mu and the size: a size
+    it lacks is filled on first use by one predecessor walk of that size, or
+    stored empty without a walk when it is longer than the rest."""
     if not mu:
         return  # nothing to peel
     mu_max = _top[mu]
     rest = _rest[mu]
-    preds = _preds[rest]
+    preds = _preds.get(rest)
     if preds is None:
         preds = _preds[rest] = {}
     for value, reduced in _part_removals(lam):
@@ -405,14 +405,21 @@ class ChainT:
     sign: int
 
 
-def _chains(lam, mu, moves, chain, decode):
-    """Unroll one recurrence step, ``moves`` (``_duan_moves`` on ids or
-    ``_er_moves`` on part tuples), from (lam, mu), given in the form the step
-    takes, down to the empty pair; ``decode`` turns that form into parts.  A
-    chain's sign is the product of its move signs; each step records
+def _chain_walk(lam: Partition, mu: Partition, family: str):
+    """The S or T chains of a pair as a generator; the weights are checked at
+    once.  The walk unrolls one recurrence step, ``_duan_moves`` on ids for S
+    or ``_er_moves`` on part tuples for T, from (lam, mu) down to the empty
+    pair.  A chain's sign is the product of its move signs; each step records
     (mu^i, j) and, as its value, the part of lam that the move spends.
-    The returned generator yields chains in depth-first order, each with its
-    steps listed from the empty end."""
+    Chains come in depth-first order, each with its steps listed from the
+    empty end."""
+    check_same_weight(lam, mu)
+    if family == "S":
+        moves, chain, decode = _duan_moves, ChainS, _decode
+        lam, mu = _intern(lam.parts), _intern(mu.parts)
+    else:
+        moves, chain, decode = _er_moves, ChainT, tuple
+        lam, mu = lam.parts, mu.parts
 
     def walk(lam, mu, sign: int, steps: tuple):
         if not lam:  # every move keeps the weights equal, so mu is empty too
@@ -426,14 +433,6 @@ def _chains(lam, mu, moves, chain, decode):
                 yield from walk(reduced, omega, sign * s, (step,) + steps)
 
     return walk(lam, mu, 1, ())
-
-
-def _chain_walk(lam: Partition, mu: Partition, family: str):
-    """The S or T chains of a pair as a generator; the weights are checked at once."""
-    check_same_weight(lam, mu)
-    if family == "S":
-        return _chains(_intern(lam.parts), _intern(mu.parts), _duan_moves, ChainS, _decode)
-    return _chains(lam.parts, mu.parts, _er_moves, ChainT, lambda parts: parts)
 
 
 def enumerate_chains_S(lam: Partition, mu: Partition) -> list[ChainS]:

@@ -230,42 +230,31 @@ def _er_reduce(parts: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 # Aligned by padded position, a vertical strip moves a sub-multiset of parts
 # by one box each, no part twice; one count k per block of equal parts hits
-# each result once.  Step -1 takes a box from k parts of the block, +1 adds
-# one.  Each state is (parts so far, strip left); a block takes at most what
-# is left, so a spent strip stops branching instead of trying every choice.
-# For step -1 it also takes at least what the parts after it cannot, so every
-# state made ends with the whole strip spent; for step +1 what is left over
-# becomes new parts.  The parts so far come out sorted: the k moved copies of
-# a block go before its unmoved ones for step -1 (a part equal to 1 that
-# loses its box is dropped) and after them for step +1, and every earlier
-# part is at most the block's smaller value.
-def _strip_walk(parts: tuple[int, ...], r: int, step: int) -> list[tuple[tuple[int, ...], int]]:
+# each result once.  Each walk state is (parts so far, strip left), and a
+# block moves at most what is left, so a spent strip stops branching instead
+# of trying every choice.  The parts so far come out sorted, since every
+# earlier part is at most the block's smaller value.  Removing a strip, a
+# block gives up one box from each of k of its parts, where k is at least
+# what the parts after the block cannot take, so every state ends spent but
+# the empty tuple's; the k moved copies go before the unmoved ones, and a
+# part equal to 1 that loses its box is dropped.  Adding a strip, a block
+# grows k of its parts, the grown copies after the others, and what is left
+# at the end becomes new parts equal to 1.
+def _strip_predecessors(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """The vertical r-strip predecessors of a part tuple, in canonical order."""
     states: list[tuple[tuple[int, ...], int]] = [((), r)]
     after = len(parts)
     for value, group in groupby(parts):
         mult = len(list(group))
         after -= mult
-        # how much of the strip the parts after this block can still take
-        slack = after if step < 0 else r
-        moved = (value + step,) if value + step else ()
-        # the block with k of its parts moved, for every k the strip can pay
-        if step < 0:
-            block = [moved * k + (value,) * (mult - k) for k in range(min(mult, r) + 1)]
-        else:
-            block = [(value,) * (mult - k) + moved * k for k in range(min(mult, r) + 1)]
+        moved = (value - 1,) if value > 1 else ()
+        block = [moved * k + (value,) * (mult - k) for k in range(min(mult, r) + 1)]
         states = [
             (acc + block[k], left - k)
             for acc, left in states
-            for k in range(max(0, left - slack), min(mult, left) + 1)
+            for k in range(max(0, left - after), min(mult, left) + 1)
         ]
-    return states
-
-
-def _strip_predecessors(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """The vertical r-strip predecessors of a part tuple, in canonical order."""
-    # only an empty part tuple can leave some of the strip
-    found = [acc for acc, left in _strip_walk(parts, r, -1) if not left]
-    return tuple(sorted(found, key=_canonical))
+    return tuple(sorted((acc for acc, left in states if not left), key=_canonical))
 
 
 _strip_predecessors_raw = lru_cache(maxsize=None)(_strip_predecessors)
@@ -273,9 +262,15 @@ _strip_predecessors_raw = lru_cache(maxsize=None)(_strip_predecessors)
 
 @lru_cache(maxsize=None)
 def _strip_successors_raw(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    # anything not yet used becomes new parts equal to 1, which go in front
-    found = [(1,) * left + acc for acc, left in _strip_walk(parts, r, 1)]
-    return tuple(sorted(found, key=_canonical))
+    states: list[tuple[tuple[int, ...], int]] = [((), r)]
+    for value, group in groupby(parts):
+        mult = len(list(group))
+        block = [(value,) * (mult - k) + (value + 1,) * k for k in range(min(mult, r) + 1)]
+        states = [
+            (acc + block[k], left - k) for acc, left in states for k in range(min(mult, left) + 1)
+        ]
+    # the new parts equal to 1 go in front
+    return tuple(sorted(((1,) * left + acc for acc, left in states), key=_canonical))
 
 
 def vertical_strip_predecessors(mu: Partition, r: int) -> list[Partition]:

@@ -182,7 +182,7 @@ def test_criterion_07_polynomial_recurrences():
     for k in range(0, 7):
         for l in range(0, k + 1):
             assert corollary5(k, l) == g_polynomial(k, l), (k, l)
-    for b in range(0, 6):
+    for b in range(0, 41):
         assert h_coefficient_check(b), b
     for b in range(6, 41):
         assert h_polynomial_matrix(b) == h_polynomial(b), b

@@ -138,10 +138,11 @@ def test_h30_mod_3():
 
 
 def test_h_coefficients_match_engine():
-    for b in range(0, 6):
-        assert h_coefficient_check(b)
-    with pytest.raises(ValueError):
-        h_coefficient_check(6)  # the bound caps the sweep at weight 10
+    # the range the transfer-matrix tests sweep, up to weight 80
+    for b in range(0, 41):
+        assert h_coefficient_check(b), b
+    with pytest.raises(FormulaDomainError):
+        h_coefficient_check(-1)
 
 
 def test_h_matrix_form_domain():
