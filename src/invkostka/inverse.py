@@ -47,14 +47,19 @@ it was given, so it calls the entry on ids without the per-entry weight
 check of the public entry functions.  A row sums its entries that keep the
 weight itself, without the memo, and reads their sub-entries through tables
 of its own (``_inverse_row``); ``monomial_to_schur``, behind ``row`` and
-``steenrod``, reads the same row.  So a whole-weight result, a matrix or a
-row, memoizes only sub-entries of lower weights, never its own entries.
+``steenrod``, reads the same row.  So the duan memo holds only sub-entries
+of lower weights, never an entry of a matrix or row's own weight, and
+``monomial_to_schur`` keeps each lam's nonzero support once, keyed by its
+parts (``_schur_row``), because a long-lived caller such as a Steenrod
+computation asks for the same few rows again and again.  The matrix
+builders never fill that row memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .partitions import (
     Partition,
@@ -449,10 +454,20 @@ def enumerate_chains_T(lam: Partition, mu: Partition) -> list[ChainT]:
 
 def monomial_to_schur(lam: Partition) -> SchurExpansion:
     """The full row of inverse Kostka entries: the Schur expansion of the
-    monomial symmetric function indexed by lam, the matrix's row of lam."""
-    m = lam.weight
-    row = _inverse_row(_intern(lam.parts), _weight_ids(m))
-    return SchurExpansion._unsafe({mu: v for mu, v in zip(enumerate_partitions(m), row) if v})
+    monomial symmetric function indexed by lam, the matrix's row of lam.
+    The row's nonzero support is kept once per lam (``_schur_row``); each
+    call returns a fresh expansion over it."""
+    return SchurExpansion._unsafe(dict(zip(*_schur_row(lam.parts))))
+
+
+@lru_cache(maxsize=None)
+def _schur_row(parts: tuple[int, ...]) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The nonzero entries of the matrix's row of a part tuple, as their
+    labels and their values, in label order.  Keyed by parts, not ids, so
+    clearing the id table leaves it valid."""
+    m = sum(parts)
+    row = _inverse_row(_intern(parts), _weight_ids(m))
+    return tuple(compress(_enumerate_cached(m), row)), tuple(filter(None, row))
 
 
 @dataclass(frozen=True)
@@ -468,14 +483,24 @@ class LabeledMatrix:
         return self.entries[i][j]
 
     def matmul(self, other: "LabeledMatrix") -> "LabeledMatrix":
+        """The product, summed over the nonzero entries only: each nonzero
+        entry of a left row scales the nonzero entries of the matching right
+        row, kept as their columns and their values."""
         if self.labels != other.labels:
             raise ValueError("label mismatch")
-        cols = tuple(zip(*other.entries))
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
-        return LabeledMatrix(self.labels, rows)
+        n = len(self.labels)
+        right = [
+            (tuple(compress(range(n), row)), tuple(filter(None, row))) for row in other.entries
+        ]
+        rows = []
+        for row in self.entries:
+            out = [0] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in zip(*right[k]):
+                        out[j] += a * b
+            rows.append(tuple(out))
+        return LabeledMatrix(self.labels, tuple(rows))
 
     def is_identity(self) -> bool:
         return all(

@@ -1,5 +1,6 @@
 """The three entry engines, chain enumerations, and matrix builders."""
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -11,6 +12,7 @@ from invkostka import clear_caches
 from invkostka.inverse import (
     ChainS,
     ChainT,
+    LabeledMatrix,
     cancellation_zero,
     enumerate_chains_S,
     enumerate_chains_T,
@@ -37,6 +39,7 @@ from invkostka.partitions import (
     enumerate_partitions,
     vertical_strip_predecessors,
 )
+from invkostka.steenrod import steenrod_P, steenrod_Sq
 from invkostka.symfunc import SchurExpansion
 from invkostka.unipoly import UniPolynomial
 from invkostka.verify import exact_integer_inverse
@@ -301,6 +304,36 @@ def test_matrix_weight_two():
     assert k.entry(P([2]), P([1, 1])) == 1
 
 
+def test_matmul_matches_a_dense_product():
+    # the product skips zero entries; compare it with the plain row-by-column
+    # sum on the two triangular matrices, on a full one, and on random ones
+    # that are not triangular, with many zeros and mixed signs
+    def dense(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    rng = random.Random(23)
+    for m in range(0, 8):
+        labels = tuple(enumerate_partitions(m))
+        n = len(labels)
+        mixed = [
+            LabeledMatrix(
+                labels,
+                tuple(tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in labels) for _ in labels),
+            )
+            for _ in range(2)
+        ]
+        full = LabeledMatrix(labels, tuple(tuple(i - j or 7 for j in range(n)) for i in range(n)))
+        for a in (kostka_matrix(m), inverse_kostka_matrix(m), full, *mixed):
+            for b in (kostka_matrix(m), inverse_kostka_matrix(m), full, *mixed):
+                product = a.matmul(b)
+                assert product.labels == labels
+                assert product.entries == dense(a.entries, b.entries), m
+    k = kostka_matrix(4)
+    for other in (kostka_matrix(3), LabeledMatrix(k.labels[::-1], k.entries)):
+        with pytest.raises(ValueError, match="label mismatch"):
+            k.matmul(other)
+
+
 def test_matrix_rows_match_independent_routes():
     # the whole-weight builders skip the public entry point; check them
     # against the oracle and the er engine.  The row builder reads the same
@@ -312,6 +345,56 @@ def test_matrix_rows_match_independent_routes():
             assert row == tuple(inv_kostka_er(lam, mu) for mu in inv.labels)
             nonzero = {mu: v for mu, v in zip(inv.labels, row) if v}
             assert monomial_to_schur(lam) == SchurExpansion(nonzero)
+
+
+def test_repeated_rows_are_fresh_objects_over_one_memo():
+    # each call returns its own expansion, so a caller that mutates one
+    # leaves the memo and every later call intact
+    clear_caches()
+    calls = (
+        lambda: monomial_to_schur(P([1, 2, 3])),
+        lambda: steenrod_P(2, 4, 3),
+        lambda: steenrod_Sq(2, 5),
+    )
+    for call in calls:
+        first, second = call(), call()
+        assert first == second and first is not second
+        assert first.coeffs is not second.coeffs
+        first.coeffs.clear()
+        first.coeffs[P([1])] = 5
+        assert call() == second
+    info = inverse._schur_row.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
+    clear_caches()
+    assert inverse._schur_row.cache_info().currsize == 0
+
+
+def test_matrix_builders_leave_the_row_memo_empty():
+    clear_caches()
+    inverse_kostka_matrix(12)
+    labels, rows = inverse._weight_rows(11, True)
+    assert len(list(rows)) == len(labels)
+    assert inverse._schur_row.cache_info().currsize == 0
+
+
+def test_warm_rows_equal_the_er_rows():
+    # the row memo is keyed by part tuples, so it outlives a rebuilt id table
+    clear_caches()
+    weights = range(0, 13)
+    for m in weights:
+        for lam in enumerate_partitions(m):
+            monomial_to_schur(lam)
+    filled = inverse._schur_row.cache_info().currsize
+    inverse._intern.cache_clear()
+    for m in weights:
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            want = {mu: v for mu in parts if (v := inv_kostka_er(lam, mu))}
+            assert monomial_to_schur(lam) == SchurExpansion(want), lam
+    info = inverse._schur_row.cache_info()
+    rows = sum(len(enumerate_partitions(m)) for m in weights)
+    assert info.currsize == filled == info.hits == rows
+    assert inverse._duan_recurse.cache_info().currsize == 0
 
 
 def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
