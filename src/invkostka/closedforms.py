@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import sub
 
 from .inverse import inv_kostka_duan
 from .partitions import Partition
@@ -136,16 +137,21 @@ _H_BASE = (
 def h_polynomial(b: int) -> UniPolynomial:
     """Generating polynomial of entries against the rectangle (2^b): the
     coefficient of t^k is the entry of (1^k, 3^l) at (2^b), where
-    k + 3l = 2b.  Satisfies h_b = -t h_(b-2) + h_(b-3)."""
+    k + 3l = 2b.  Satisfies h_b = -t h_(b-2) + h_(b-3).
+
+    The recurrence runs on coefficient lists: the product by t is a shift
+    by one place, so no step multiplies."""
     if b < 0:
         raise FormulaDomainError("b must be non-negative")
     if b < 4:
         return _H_BASE[b]
-    window = list(_H_BASE[1:])
+    # coefficients of h_(i-3), h_(i-2), h_(i-1) as i runs up to b
+    h3, h2, h1 = (list(h.coeffs) for h in _H_BASE[1:])
     for _ in range(b - 3):
-        window.append(UniPolynomial([0, -1]) * window[1] + window[0])
-        window.pop(0)
-    return window[-1]
+        shifted = [0, *h2]
+        pad = len(shifted) - len(h3)
+        h3, h2, h1 = h2, h1, list(map(sub, h3 + [0] * pad, shifted + [0] * -pad))
+    return UniPolynomial(h1)
 
 
 def _dot(xs, ys) -> UniPolynomial:
@@ -170,21 +176,31 @@ def h_polynomial_matrix(b: int) -> UniPolynomial:
     """h_polynomial(b) through the transfer-matrix form, valid for b >= 6.
 
     With b = 2k + r (r the parity bit), the value is the product
-    (t^2, -2t, 1) . A^(k-3) . (h_(2+r), h_(1+r), h_r)^T.
+    (t^2, -2t, 1) . A^(k-3) . (h_(2+r), h_(1+r), h_r)^T.  The power is
+    never formed: it goes onto the vector by binary digits, through
+    repeated squares of A that stop one short of the top digit.  The route
+    works on UniPolynomial arithmetic, so it shares nothing with
+    h_polynomial's list recurrence but the base cases.
     """
     r = b % 2
     k = (b - r) // 2
     if k < 3:
         raise FormulaDomainError(f"matrix form needs b >= 6, got b={b}")
     # Powers of A commute, so A^(k-3) goes onto the vector one binary digit
-    # at a time: A^(2^i) is applied when bit i is set, and squared only while
-    # a higher bit remains.
+    # at a time: A^(2^i) is applied when bit i is set, then squared for bit
+    # i + 1.  The top bit's square is skipped: A^(2^(top-1)) goes onto the
+    # vector twice, 18 polynomial products against 27 for the square and 9
+    # for applying it.
     vec = (_H_BASE[2 + r], _H_BASE[1 + r], _H_BASE[r])
     power, n = _STEP, k - 3
     while n:
         if n & 1:
             vec = tuple(_dot(row, vec) for row in power)
         n >>= 1
+        if n == 1:
+            for _ in range(2):
+                vec = tuple(_dot(row, vec) for row in power)
+            break
         if n:
             power = _square(power)
     row = (UniPolynomial([0, 0, 1]), UniPolynomial([0, -2]), UniPolynomial([1]))

@@ -24,6 +24,10 @@ def _pretty_sum(terms) -> str:
 
 
 class UniPolynomial:
+    """Immutable: a polynomial hashes by its coefficients, and memos and
+    shared constants hand out the same object, so ``coeffs`` cannot be
+    rebound or deleted."""
+
     __slots__ = ("coeffs",)
 
     coeffs: tuple[int, ...]
@@ -32,7 +36,17 @@ class UniPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UniPolynomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UniPolynomial is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slot
+        return UniPolynomial, (self.coeffs,)
 
     @classmethod
     def monomial(cls, coeff: int, power: int) -> "UniPolynomial":

@@ -3,6 +3,9 @@ the sweeps that reach past the acceptance criteria, and the transfer-matrix
 route.  The lemma 5/6, g closed-form, golden h and matrix-form sweeps are
 acceptance criteria 1, 6 and 7."""
 
+import copy
+import hashlib
+
 import pytest
 
 from invkostka import closedforms
@@ -137,6 +140,54 @@ def test_h30_mod_3():
     assert got.pretty() == "1 + 2*t^9 + t^12 + 2*t^15"
 
 
+def _reference_h(b):
+    # the recurrence on UniPolynomial arithmetic, as h_polynomial ran it
+    # before it moved to coefficient lists
+    if b < 4:
+        return closedforms._H_BASE[b]
+    window = list(closedforms._H_BASE[1:])
+    for _ in range(b - 3):
+        window.append(UniPolynomial([0, -1]) * window[1] + window[0])
+        window.pop(0)
+    return window[-1]
+
+
+def test_h_polynomial_matches_the_polynomial_recurrence():
+    for b in range(301):
+        assert h_polynomial(b) == _reference_h(b), b
+
+
+# sha256 of repr(h_polynomial(b).coeffs), taken from the UniPolynomial
+# recurrence; the benchmark's h_matrix sizes, far past the tier-1 sweeps
+_H_DIGESTS = {
+    800: "2f9b6e4a5d769ae3b0e6e58e1f51ca399566925d812aeffc0580eef75bd4f6dd",
+    901: "2e8ea120c72c376f4386f976368308d5e7ba7ef8e9ce7e85bd74c625336745ff",
+    1000: "03e753d0abb163cd26a66a06e7b8f8229f93e19a1d4ddfb1bbe583f89f7a9e91",
+    1101: "b15c3794c20c05f285face31c9fe86952df5fb6d5c501acacc76e91541af35c3",
+}
+
+
+def test_large_h_polynomials_keep_their_digests():
+    for b, want in _H_DIGESTS.items():
+        got = hashlib.sha256(repr(h_polynomial(b).coeffs).encode()).hexdigest()
+        assert got == want, b
+
+
+def test_shared_polynomials_cannot_be_rebound():
+    # h_polynomial hands out the shared base cases and g_polynomial its memo
+    # entries, so a rebound coeffs would poison every later result
+    for poly in (h_polynomial(2), g_polynomial(3, 2)):
+        before = poly.coeffs
+        with pytest.raises(AttributeError):
+            poly.coeffs = (7,)
+        with pytest.raises(AttributeError):
+            del poly.coeffs
+        assert poly.coeffs == before
+        assert copy.deepcopy(poly) == poly
+    assert h_polynomial(8) == h_polynomial_matrix(8) == UniPolynomial([0, -3, 0, 0, 1])
+    assert g_polynomial(3, 2) == corollary5(3, 2)
+
+
 def test_h_coefficients_match_engine():
     # the range the transfer-matrix tests sweep, up to weight 80
     for b in range(0, 41):
@@ -177,8 +228,10 @@ def test_transfer_matrix_power():
 
 
 def test_transfer_matrix_power_counts_its_products(monkeypatch):
-    # per bit of n = k - 3: nine dot products for each square below the top
-    # bit, three for each set bit's step on the vector, and one final row
+    # per bit of n = k - 3: nine dot products for each square, three for each
+    # set bit's step on the vector, and one final row.  For n >= 2 the top
+    # bit's power is not squared out but applied twice, one step more than
+    # its set bit; n = 1 is a single step.
     calls = []
     original = closedforms._dot
 
@@ -191,13 +244,18 @@ def test_transfer_matrix_power_counts_its_products(monkeypatch):
         n = b // 2 - 3
         calls.clear()
         h_polynomial_matrix(b)
-        squares = max(n.bit_length() - 1, 0)
-        assert len(calls) == 9 * squares + 3 * bin(n).count("1") + 1, b
+        squares = max(n.bit_length() - 2, 0)
+        if n >= 2:
+            want = 9 * squares + 3 * (bin(n).count("1") + 1) + 1
+        else:
+            want = 4 if n == 1 else 1
+        assert len(calls) == want, b
 
 
 def test_h_matrix_form_squares_once_per_bit_below_the_top(monkeypatch):
-    # A^(k-3) goes onto the vector bit by bit: one square per bit below the
-    # top bit of k - 3, none after it
+    # A^(k-3) goes onto the vector bit by bit: one square for each bit
+    # strictly between bit 0 and the top bit of k - 3.  The top bit's power
+    # is never squared out: its half goes onto the vector twice
     squares = []
     original = closedforms._square
 
@@ -209,4 +267,4 @@ def test_h_matrix_form_squares_once_per_bit_below_the_top(monkeypatch):
     for b in range(6, 201):
         squares.clear()
         assert h_polynomial_matrix(b) == h_polynomial(b), b
-        assert len(squares) == max((b // 2 - 3).bit_length() - 1, 0), b
+        assert len(squares) == max((b // 2 - 3).bit_length() - 2, 0), b
