@@ -30,7 +30,9 @@ class Partition:
     """Immutable multiset of positive integers.
 
     Parts may be given in any order; storage is non-decreasing.  The empty
-    partition plays the role of (0).
+    partition plays the role of (0).  A partition hashes by its parts, and
+    the enumeration memo hands out the same objects, so ``parts`` cannot be
+    rebound or deleted.
     """
 
     __slots__ = ("parts",)
@@ -42,14 +44,24 @@ class Partition:
         for p in ps:
             if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
-        self.parts = ps
+        object.__setattr__(self, "parts", ps)
 
     @classmethod
     def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
         # fast path for internal callers that already hold a sorted tuple
         self = object.__new__(cls)
-        self.parts = parts
+        object.__setattr__(self, "parts", parts)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Partition is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Partition is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slot
+        return Partition, (self.parts,)
 
     @classmethod
     def from_multiplicities(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":

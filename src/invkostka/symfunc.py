@@ -6,12 +6,15 @@ permutation sums, Schur polynomials by a layered count of semistandard
 tableaux (entry n down to entry 1, one horizontal strip each, with the
 tableaux that agree on the entries placed so far counted together), and
 Kostka numbers by horizontal-strip chains.  Shapes are part tuples in the
-package's non-decreasing layout.  The kernel serves as the ground truth
-that the recurrence engines are validated against.
+package's non-decreasing layout.  The sparse product and the tableau count
+work on exponent vectors packed into integers by one codec (``_digits``),
+so adding exponents is adding integers.  The kernel serves as the ground
+truth that the recurrence engines are validated against.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from typing import Iterable, Mapping
@@ -44,24 +47,42 @@ def _scale(coeffs: dict, scalar: int) -> dict:
     return {key: c * scalar for key, c in coeffs.items()} if scalar else {}
 
 
-def _encode(terms: dict, base: int) -> list[tuple[int, int]]:
-    """(key, coeff) pairs, each exponent vector read as the digits of one
-    integer in the given base, most significant first."""
-    out = []
-    for expo, c in terms.items():
-        key = 0
-        for e in expo:
-            key = key * base + e
-        out.append((key, c))
-    return out
+class _WideDigits(struct.Struct):
+    """Digits wider than 8 bytes, which struct has no integer code for: each
+    is a byte string, converted at pack and unpack."""
+
+    def __init__(self, n: int, width: int):
+        super().__init__(">" + f"{width}s" * n)
+        self.width = width
+
+    def pack(self, *expo: int) -> bytes:
+        return super().pack(*(e.to_bytes(self.width, "big") for e in expo))
+
+    def unpack(self, raw: bytes) -> tuple[int, ...]:
+        return tuple(int.from_bytes(d, "big") for d in super().unpack(raw))
 
 
-def _decode(key: int, base: int, n: int) -> tuple[int, ...]:
-    """The n-digit exponent vector that ``_encode`` read as ``key``."""
-    expo = [0] * n
-    for i in range(n - 1, -1, -1):
-        key, expo[i] = divmod(key, base)
-    return tuple(expo)
+def _digits(n: int, top: int) -> struct.Struct:
+    """n fixed-width big-endian digits, each the narrowest of 1, 2, 4 or 8
+    bytes (or as many whole bytes as it takes) that holds ``top``."""
+    width = max(1, -(-top.bit_length() // 8))
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        if width <= size:
+            return struct.Struct(f">{n}{code}")
+    return _WideDigits(n, width)
+
+
+def _encode(terms: dict, digits: struct.Struct) -> list[tuple[int, int]]:
+    """(key, coeff) pairs, each exponent vector packed into one integer
+    whose digits are its entries, the first most significant."""
+    pack, from_bytes = digits.pack, int.from_bytes
+    return [(from_bytes(pack(*expo), "big"), c) for expo, c in terms.items()]
+
+
+def _decode(terms: dict, digits: struct.Struct) -> dict:
+    """The exponent vectors that ``_encode`` packed, with their coeffs."""
+    unpack, size = digits.unpack, digits.size
+    return {unpack(key.to_bytes(size, "big")): c for key, c in terms.items()}
 
 
 def staircase(n: int) -> tuple[int, ...]:
@@ -84,7 +105,7 @@ class SparsePolynomial:
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
-                if len(expo) != n or any(e < 0 for e in expo):
+                if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
                     raise ValueError(f"bad exponent vector {expo!r} for n={n}")
                 if coeff:
                     clean[expo] = coeff
@@ -143,14 +164,13 @@ class SparsePolynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        # exponent vectors as base-`base` digits: a sum never carries, so a
-        # monomial product is one integer sum
-        base = max(chain.from_iterable(a), default=0) + max(chain.from_iterable(b), default=0) + 1
-        a, b = _encode(a, base), _encode(b, base)
+        # exponent vectors packed as digits wide enough for any sum of two:
+        # a sum never carries, so a monomial product is one integer sum
+        top = max(chain.from_iterable(a), default=0) + max(chain.from_iterable(b), default=0)
+        digits = _digits(self.n, top)
+        a, b = _encode(a, digits), _encode(b, digits)
         sums = _combine((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
-        return SparsePolynomial._unsafe(
-            self.n, {_decode(key, base, self.n): c for key, c in sums.items()}
-        )
+        return SparsePolynomial._unsafe(self.n, _decode(sums, digits))
 
     __rmul__ = __mul__
 
@@ -209,26 +229,37 @@ def _hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
     return tuple((pred[pred.count(0) :], size - sum(pred)) for pred in product(*rows))
 
 
-def _tableau_sum(level: dict, n: int) -> dict:
+def _tableau_sum(seed: dict, n: int) -> dict:
     """Weighted exponent counts of the semistandard tableaux with entries in
     1..n, filled from entry n down to entry 1, each entry a horizontal strip.
 
-    ``level`` maps each part tuple still to be filled to
-    ``{exponents of the entries already placed: weight}``; a seed shape
-    starts at ``{(): its coefficient}``.  Tableaux that agree on the entries
-    placed so far are counted once, not walked one by one."""
-    done: dict[tuple[int, ...], int] = {}
+    ``seed`` maps each shape (a part tuple) to its coefficient.  Each level
+    maps a part tuple still to be filled to ``{tail: weight}``, where a tail
+    packs the exponents of the entries already placed as the digits of one
+    integer (``_digits``); placing entry j adds its count at digit j, and
+    entries not placed yet are zero digits, so a finished tail is already
+    the key of its whole exponent vector.  Tableaux that agree on the
+    entries placed so far are counted once, not walked one by one, and the
+    keys are decoded once, at the end."""
+    # entry j fills at most one cell per column
+    digits = _digits(n, max((shape[-1] for shape in seed if shape), default=0))
+    bits = 8 * digits.size // max(n, 1)
+    level = {shape: {0: c} for shape, c in seed.items()}
+    done: dict[int, int] = {}
     for j in range(n, 0, -1):
         below: dict = {}
+        shift = bits * (n - j)
         for shape, tails in level.items():
             if not shape:  # entries 1..j stay zero
-                _combine((((0,) * j + e, c) for e, c in tails.items()), done)
+                _combine(tails.items(), done)
             elif len(shape) <= j:  # else the first column needs more than j values
                 for pred, removed in _hstrip_predecessors(shape):
-                    _combine((((removed,) + e, c) for e, c in tails.items()),
+                    step = removed << shift
+                    _combine(((k + step, c) for k, c in tails.items()),
                              below.setdefault(pred, {}))
         level = below
-    return _combine(level.get((), {}).items(), done)
+    _combine(level.get((), {}).items(), done)
+    return _decode(done, digits)
 
 
 def schur(lam: Partition, n: int) -> SparsePolynomial:
@@ -237,7 +268,7 @@ def schur(lam: Partition, n: int) -> SparsePolynomial:
     layer by layer (``_tableau_sum``), not walked one at a time."""
     if n < lam.length:
         raise ValueError(f"{lam} needs at least {lam.length} variables")
-    return SparsePolynomial._unsafe(n, _tableau_sum({lam.parts: {(): 1}}, n))
+    return SparsePolynomial._unsafe(n, _tableau_sum({lam.parts: 1}, n))
 
 
 def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
@@ -364,5 +395,5 @@ def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomi
     too_long = [p for p in expansion.coeffs if p.length > n]
     if too_long:
         raise ValueError(f"{too_long[0]} needs more than {n} variables")
-    level = {part.parts: {(): c} for part, c in expansion.coeffs.items()}
-    return SparsePolynomial._unsafe(n, _tableau_sum(level, n))
+    seed = {part.parts: c for part, c in expansion.coeffs.items()}
+    return SparsePolynomial._unsafe(n, _tableau_sum(seed, n))

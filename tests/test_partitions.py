@@ -1,5 +1,7 @@
 """Partition toolkit: parsing, enumeration order, strips, reductions."""
 
+import copy
+import pickle
 from functools import cmp_to_key
 from itertools import groupby, permutations
 
@@ -118,6 +120,19 @@ def test_enumeration_has_no_duplicates_and_right_weight():
         seen = enumerate_partitions(m)
         assert len(set(seen)) == len(seen)
         assert all(p.weight == m for p in seen)
+
+
+def test_memoized_partitions_cannot_be_rebound():
+    # enumerate_partitions hands out its memoized objects, so a rebound
+    # parts would list a wrong partition for the rest of the process
+    p = enumerate_partitions(3)[0]
+    with pytest.raises(AttributeError):
+        p.parts = (1, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        del p.parts
+    assert [q.parts for q in enumerate_partitions(3)] == [(3,), (1, 2), (1, 1, 1)]
+    for q in (Partition([2, 1, 1]), Partition()):
+        assert copy.deepcopy(q) == copy.copy(q) == pickle.loads(pickle.dumps(q)) == q
 
 
 def test_distinct_permutations_of_multiset():

@@ -2,7 +2,8 @@
 is checked against.
 
 Here: Schur polynomials and sparse products against recursive reference
-implementations, the coefficient-extraction recovery of Schur
+implementations, also with exponents past every digit width of the packed
+exponent codec, the codec's round trip, the coefficient-extraction recovery of Schur
 coefficients, the last-variable elimination law on random polynomials, and
 the unitriangularity of the tableau-count matrix.  The exhaustive
 alternant-quotient, elimination and column-strip (Pieri) sweeps are
@@ -19,6 +20,9 @@ from invkostka.partitions import Partition, enumerate_partitions, last_nonzero_c
 from invkostka.symfunc import (
     SchurExpansion,
     SparsePolynomial,
+    _decode,
+    _digits,
+    _encode,
     _hstrip_predecessors,
     alternant,
     elementary_symmetric,
@@ -193,6 +197,47 @@ def test_sparse_product_edge_cases():
     assert (schur(P(), 0) * schur(P(), 0)).terms == {(): 1}
 
 
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 70])
+def test_products_across_digit_widths_match_tuple_addition(bits):
+    # exponent sums land just below, on and just above 2^bits, so the packed
+    # digits must widen (or, past 64 bits, hold whole bytes) without carrying
+    big = 1 << bits
+    f = SparsePolynomial(3, {(big // 2, 1, 0): 2, (big - 1, 0, 3): -1, (0, 0, 0): 4})
+    g = SparsePolynomial(3, {(big // 2, big - 2, 0): 1, (1, 1, big // 2 + 1): 5, (0, 0, 1): -3})
+    assert (f * g).terms == _reference_product(f, g)
+    assert (g * f).terms == _reference_product(f, g)
+    assert max(max(e) for e in (f * g).terms) == big + big // 2 - 1
+
+
+def test_schur_of_long_rows_matches_the_reference():
+    # rows longer than 255 need digits of two bytes in the tableau sum
+    for lam, n in ((P([300]), 1), (P([3, 300]), 2)):
+        assert schur(lam, n).terms == _reference_schur(lam, n).terms, (lam, n)
+    assert schur(P([300]), 1).terms == {(300,): 1}
+
+
+def test_zero_variable_constants_pass_through_the_codec():
+    three = SparsePolynomial(0, {(): 3})
+    assert (three * SparsePolynomial(0, {(): -5})).terms == {(): -15}
+    assert expansion_to_polynomial(SchurExpansion({P(): 4}), 0).terms == {(): 4}
+    digits = _digits(0, 0)
+    assert _encode({(): 3}, digits) == [(0, 3)] and _decode({0: 3}, digits) == {(): 3}
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[st.integers(0, 2**80)] * n)] * 2)
+    )
+)
+def test_exponent_codec_round_trips_and_adds(pair):
+    a, b = pair
+    digits = _digits(len(a), max(a, default=0) + max(b, default=0))
+    [(ka, _)], [(kb, _)] = _encode({a: 2}, digits), _encode({b: -1}, digits)
+    assert _decode({ka: 2}, digits) == {a: 2} and _decode({kb: -1}, digits) == {b: -1}
+    # digits that hold the largest sum add without carrying
+    assert _decode({ka + kb: 1}, digits) == {tuple(x + y for x, y in zip(a, b)): 1}
+
+
 def test_sparse_polynomial_in_zero_variables_is_a_constant():
     three = SparsePolynomial(0, {(): 3})
     assert three == 3 * SparsePolynomial.one(0)
@@ -202,6 +247,14 @@ def test_sparse_polynomial_in_zero_variables_is_a_constant():
         SparsePolynomial(-1)
     with pytest.raises(ValueError):
         SparsePolynomial(0, {(1,): 1})
+
+
+def test_sparse_polynomial_refuses_bad_exponent_vectors():
+    # the codec packs integer digits only, so a float exponent is refused
+    # here, not met as a crash inside a product
+    for expo in ((-1, 0), (1.5, 0), ("1", 0), (1,), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            SparsePolynomial(2, {expo: 1})
 
 
 def test_sparse_polynomial_refuses_foreign_sums():
