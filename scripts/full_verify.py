@@ -30,6 +30,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-weight", type=int, default=8)
     max_weight = ap.parse_args().max_weight
+    if max_weight < 0:
+        ap.error(f"--max-weight must be non-negative, got {max_weight}")
 
     t0 = time.perf_counter()
     report = verify_suite(max_weight)

@@ -122,7 +122,6 @@ class EPolynomial(_Combination):
     __slots__ = ()
 
     _key = staticmethod(_e_key)
-    _sort_key = None
 
     def pretty(self) -> str:
         return _pretty_sum(("*".join(f"e{i}" for i in key), c) for key, c in self.items())
@@ -212,6 +211,6 @@ def epoly_to_polynomial(ep: EPolynomial, n: int) -> SparsePolynomial:
         (expo, c * d)
         for key, c in ep.items()
         if all(i <= n for i in key)
-        for expo, d in _e_product_poly(key, n).terms.items()
+        for expo, d in _e_product_poly(key, n).coeffs.items()
     )
     return SparsePolynomial._unsafe(n, terms)

@@ -10,14 +10,18 @@ package's non-decreasing layout.  The sparse product and the tableau count
 work on exponent vectors packed into integers by one codec (``_digits``),
 so adding exponents is adding integers.  The kernel serves as the ground
 truth that the recurrence engines are validated against.
+
+Polynomials (``SparsePolynomial``), Schur expansions and, in ``steenrod``,
+products of e_i share one sparse container, ``_Combination``; each supplies
+only its hooks ``_key``, ``_sort_key`` and ``_like``.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from typing import Iterable, Mapping
 
 from .partitions import (
     Partition,
@@ -92,76 +96,114 @@ def staircase(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-class SparsePolynomial:
+class _Combination:
+    """Finitely supported integer combination, held as a clean
+    ``{key: coeff}`` dict, ``coeffs``, with no zero coefficients: the
+    package's one sparse container.  It takes a mapping or (key, coeff)
+    pairs.  A subclass supplies ``_key``, which normalises and checks a key
+    given to the constructor or to ``get`` (``None`` marks a term that is
+    zero), ``_sort_key``, the order of ``items`` (``None``: the keys' own
+    order), and ``_like``, which builds a sum or scalar multiple from its
+    clean dict and so carries any slot besides ``coeffs``.  Sums and
+    equality need the same type on both sides."""
+
+    __slots__ = ("coeffs",)
+
+    _sort_key = None
+
+    def __init__(self, coeffs=None):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ()
+        key = self._key
+        self.coeffs = _combine((key(k), c) for k, c in items)
+        self.coeffs.pop(None, None)
+
+    @classmethod
+    def _unsafe(cls, coeffs: dict):
+        # internal callers pass a dict that is already clean
+        obj = object.__new__(cls)
+        obj.coeffs = coeffs
+        return obj
+
+    def _like(self, coeffs: dict):
+        return self._unsafe(coeffs)
+
+    def get(self, key) -> int:
+        return self.coeffs.get(self._key(key), 0)
+
+    def items(self) -> list:
+        return sorted(self.coeffs.items(), key=self._sort_key)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(_combine(other.coeffs.items(), dict(self.coeffs)))
+
+    def __mul__(self, scalar: int):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return self._like(_scale(self.coeffs, scalar))
+
+    __rmul__ = __mul__
+
+
+class SparsePolynomial(_Combination):
     """Sparse polynomial over Z in n variables, keyed by exponent tuples."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if n < 0:  # n = 0 is the ring of constants, keyed by ()
             raise ValueError(f"negative number of variables: {n}")
         self.n = n
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple(expo)
-                if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
-                    raise ValueError(f"bad exponent vector {expo!r} for n={n}")
-                if coeff:
-                    clean[expo] = coeff
-        self.terms = clean
+        super().__init__(terms)
+
+    def _key(self, expo: Iterable[int]) -> tuple[int, ...]:
+        expo = tuple(expo)
+        if len(expo) != self.n or any(not isinstance(e, int) or e < 0 for e in expo):
+            raise ValueError(f"bad exponent vector {expo!r} for n={self.n}")
+        return expo
 
     @classmethod
-    def _unsafe(cls, n: int, terms: dict[tuple[int, ...], int]) -> "SparsePolynomial":
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
-        return self
+    def _unsafe(cls, n: int, coeffs: dict[tuple[int, ...], int]) -> "SparsePolynomial":
+        obj = super()._unsafe(coeffs)
+        obj.n = n
+        return obj
+
+    def _like(self, coeffs: dict) -> "SparsePolynomial":
+        return self._unsafe(self.n, coeffs)
 
     @classmethod
     def one(cls, n: int) -> "SparsePolynomial":
         return cls._unsafe(n, {(0,) * n: 1})
 
-    def coefficient(self, alpha: Iterable[int]) -> int:
-        alpha = tuple(alpha)
-        if len(alpha) != self.n:
-            raise ValueError(f"exponent vector has length {len(alpha)}, expected {self.n}")
-        return self.terms.get(alpha, 0)
-
-    def items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    coefficient = _Combination.get
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparsePolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.n == other.n
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial._unsafe(self.n, {e: -c for e, c in self.terms.items()})
+        return self._like(_scale(self.coeffs, -1))
 
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        if self.n != other.n:
+    def __add__(self, other):
+        if type(other) is type(self) and self.n != other.n:
             raise ValueError("variable counts differ")
-        return SparsePolynomial._unsafe(self.n, _combine(other.terms.items(), dict(self.terms)))
+        return super().__add__(other)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return SparsePolynomial._unsafe(self.n, _scale(self.terms, other))
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
+        if type(other) is not type(self):
+            return super().__mul__(other)  # a scalar, or NotImplemented
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        a, b = self.terms, other.terms
+        a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
         # exponent vectors packed as digits wide enough for any sum of two:
@@ -170,12 +212,12 @@ class SparsePolynomial:
         digits = _digits(self.n, top)
         a, b = _encode(a, digits), _encode(b, digits)
         sums = _combine((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
-        return SparsePolynomial._unsafe(self.n, _decode(sums, digits))
+        return self._like(_decode(sums, digits))
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"SparsePolynomial(n={self.n}, terms={len(self.terms)})"
+        return f"SparsePolynomial(n={self.n}, terms={len(self.coeffs)})"
 
 
 def monomial_symmetric(lam: Partition, n: int) -> SparsePolynomial:
@@ -278,7 +320,7 @@ def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
     if r < 0:
         raise ValueError("exponent must be non-negative")
     return SparsePolynomial._unsafe(
-        h.n - 1, {e[:-1]: c for e, c in h.terms.items() if e[-1] == r}
+        h.n - 1, {e[:-1]: c for e, c in h.coeffs.items() if e[-1] == r}
     )
 
 
@@ -304,55 +346,6 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
     check_same_weight(lam, mu)
     return _kostka_raw(lam.parts, mu.parts)
-
-
-class _Combination:
-    """Finitely supported integer combination, held as a clean
-    ``{key: coeff}`` dict with no zero coefficients.
-
-    A subclass supplies ``_key``, which normalises a key given to the
-    constructor or to ``get`` (``None`` marks a term that is zero), and
-    ``_sort_key``, the order of ``items`` (``None``: the keys' own order).
-    Sums and equality need the same type on both sides."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        key = self._key
-        self.coeffs = _combine((key(k), c) for k, c in items)
-        self.coeffs.pop(None, None)
-
-    @classmethod
-    def _unsafe(cls, coeffs: dict):
-        # internal callers pass a dict that is already clean
-        obj = object.__new__(cls)
-        obj.coeffs = coeffs
-        return obj
-
-    def get(self, key) -> int:
-        return self.coeffs.get(self._key(key), 0)
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items(), key=self._sort_key)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._unsafe(_combine(other.coeffs.items(), dict(self.coeffs)))
-
-    def __mul__(self, scalar: int):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return self._unsafe(_scale(self.coeffs, scalar))
-
-    __rmul__ = __mul__
 
 
 class SchurExpansion(_Combination):

@@ -229,11 +229,11 @@ def test_criterion_10_symmetric_function_identities():
                 if lam.length > n:
                     continue
                 h = monomial_symmetric(lam, n)
-                for alpha in list(h.terms) + [(m,) * n]:
+                for alpha in list(h.coeffs) + [(m,) * n]:
                     reduced = eliminate_last(h, alpha[-1])
                     assert h.coefficient(alpha) == reduced.coefficient(alpha[:-1]), (lam, alpha)
                 # a last exponent that no term has leaves nothing
-                seen_last = {alpha[-1] for alpha in h.terms}
+                seen_last = {alpha[-1] for alpha in h.coeffs}
                 for r in range(0, m + 2):
                     if r not in seen_last:
                         assert not eliminate_last(h, r), (lam, r)

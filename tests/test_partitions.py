@@ -156,8 +156,8 @@ def test_distinct_permutations_of_a_long_vector():
     # one rearrangement per position of the single 1; the walk must not
     # go one stack frame deeper per position
     poly = monomial_symmetric(Partition([1]), 1100)
-    assert len(poly.terms) == 1100
-    assert all(sum(e) == 1 for e in poly.terms)
+    assert len(poly.coeffs) == 1100
+    assert all(sum(e) == 1 for e in poly.coeffs)
 
 
 def test_remove_part_takes_distinct_value_index():

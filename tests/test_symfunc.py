@@ -4,19 +4,24 @@ is checked against.
 Here: Schur polynomials and sparse products against recursive reference
 implementations, also with exponents past every digit width of the packed
 exponent codec, the codec's round trip, the coefficient-extraction recovery of Schur
-coefficients, the last-variable elimination law on random polynomials, and
-the unitriangularity of the tableau-count matrix.  The exhaustive
+coefficients, the last-variable elimination law on random polynomials, the
+shared combination container (mapping inputs, exponent checks, sums that
+keep n, pinned repr and items), and the unitriangularity of the
+tableau-count matrix.  The exhaustive
 alternant-quotient, elimination and column-strip (Pieri) sweeps are
 acceptance criterion 10.
 """
 
 import random
+from collections import UserDict
 from functools import cmp_to_key
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
 from invkostka.partitions import Partition, enumerate_partitions, last_nonzero_compare
+from invkostka.steenrod import EPolynomial
 from invkostka.symfunc import (
     SchurExpansion,
     SparsePolynomial,
@@ -68,8 +73,8 @@ def _reference_schur(lam: Partition, n: int) -> SparsePolynomial:
 def _reference_product(f: SparsePolynomial, g: SparsePolynomial) -> dict:
     """Monomial products by adding exponent tuples, one pair at a time."""
     out: dict = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
             key = tuple(x + y for x, y in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
@@ -85,8 +90,8 @@ def test_staircase():
 
 def test_monomial_symmetric_small():
     m = monomial_symmetric(P([1, 2]), 2)
-    assert m.terms == {(1, 2): 1, (2, 1): 1}
-    assert monomial_symmetric(P(), 2).terms == {(0, 0): 1}
+    assert m.coeffs == {(1, 2): 1, (2, 1): 1}
+    assert monomial_symmetric(P(), 2).coeffs == {(0, 0): 1}
     with pytest.raises(ValueError):
         monomial_symmetric(P([1, 1, 1]), 2)
     with pytest.raises(ValueError, match="too many parts"):
@@ -96,13 +101,13 @@ def test_monomial_symmetric_small():
 def test_monomial_symmetric_counts_rearrangements():
     m = monomial_symmetric(P([1, 1, 2]), 4)
     # 4!/2! placements of (0,1,1,2)
-    assert len(m.terms) == 12
-    assert all(c == 1 for c in m.terms.values())
+    assert len(m.coeffs) == 12
+    assert all(c == 1 for c in m.coeffs.values())
 
 
 def test_alternant_two_variables():
     a = alternant((0, 1))
-    assert a.terms == {(0, 1): 1, (1, 0): -1}
+    assert a.coeffs == {(0, 1): 1, (1, 0): -1}
 
 
 def test_alternant_repeated_exponents_vanishes():
@@ -112,7 +117,7 @@ def test_alternant_repeated_exponents_vanishes():
 
 def test_elementary_symmetric_basics():
     e = elementary_symmetric(2, 3)
-    assert e.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    assert e.coeffs == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     assert elementary_symmetric(0, 3) == SparsePolynomial.one(3)
     with pytest.raises(ValueError):
         elementary_symmetric(4, 3)
@@ -126,10 +131,10 @@ def test_elementary_is_column_monomial():
 
 
 def test_schur_small_shapes():
-    assert schur(P([1, 1]), 2).terms == {(1, 1): 1}
-    assert schur(P([2]), 2).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert schur(P([1, 1]), 2).coeffs == {(1, 1): 1}
+    assert schur(P([2]), 2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     s = schur(P([1, 2]), 2)
-    assert s.terms == {(2, 1): 1, (1, 2): 1}
+    assert s.coeffs == {(2, 1): 1, (1, 2): 1}
     with pytest.raises(ValueError):
         schur(P([1, 1, 1]), 2)
 
@@ -138,13 +143,13 @@ def test_schur_matches_the_recursive_reference():
     for m in range(0, 9):
         for lam in enumerate_partitions(m):
             for n in range(max(1, lam.length), 9):
-                assert schur(lam, n).terms == _reference_schur(lam, n).terms, (lam, n)
+                assert schur(lam, n).coeffs == _reference_schur(lam, n).coeffs, (lam, n)
 
 
 def test_schur_specializes_to_dimension_count():
     # number of semistandard tableaux = value at x = (1,...,1)
     s = schur(P([2, 2]), 3)
-    assert sum(s.terms.values()) == 6
+    assert sum(s.coeffs.values()) == 6
 
 
 def test_schur_coefficient_recovery():
@@ -173,28 +178,28 @@ def test_sparse_product_matches_tuple_addition():
             })
 
         f, g = draw(), draw()
-        assert (f * g).terms == _reference_product(f, g), (f.terms, g.terms)
+        assert (f * g).coeffs == _reference_product(f, g), (f.coeffs, g.coeffs)
 
 
 def test_sparse_product_edge_cases():
     x_minus_y = SparsePolynomial(2, {(1, 0): 1, (0, 1): -1})
     x_plus_y = SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
     # the mixed terms cancel
-    assert (x_minus_y * x_plus_y).terms == {(2, 0): 1, (0, 2): -1}
-    assert (x_minus_y * x_minus_y).terms == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+    assert (x_minus_y * x_plus_y).coeffs == {(2, 0): 1, (0, 2): -1}
+    assert (x_minus_y * x_minus_y).coeffs == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
     # the three-variable alternant times a symmetric factor stays alternating
     a = alternant((0, 1, 2))
-    assert (a * elementary_symmetric(3, 3)).terms == alternant((1, 2, 3)).terms
+    assert (a * elementary_symmetric(3, 3)).coeffs == alternant((1, 2, 3)).coeffs
     seven = SparsePolynomial(2, {(0, 0): 7})
-    assert (seven * SparsePolynomial(2, {(0, 0): -2})).terms == {(0, 0): -14}
-    assert (seven * x_minus_y).terms == {(1, 0): 7, (0, 1): -7}
+    assert (seven * SparsePolynomial(2, {(0, 0): -2})).coeffs == {(0, 0): -14}
+    assert (seven * x_minus_y).coeffs == {(1, 0): 7, (0, 1): -7}
     one_var = SparsePolynomial(1, {(3,): 2, (0,): -1})
-    assert (one_var * one_var).terms == {(6,): 4, (3,): -4, (0,): 1}
+    assert (one_var * one_var).coeffs == {(6,): 4, (3,): -4, (0,): 1}
     empty = SparsePolynomial(2)
-    assert (empty * x_plus_y).terms == {} and (x_plus_y * empty).terms == {}
-    assert (empty * empty).terms == {}
+    assert (empty * x_plus_y).coeffs == {} and (x_plus_y * empty).coeffs == {}
+    assert (empty * empty).coeffs == {}
     # schur(P(), 0) is the constant 1 in zero variables
-    assert (schur(P(), 0) * schur(P(), 0)).terms == {(): 1}
+    assert (schur(P(), 0) * schur(P(), 0)).coeffs == {(): 1}
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64, 70])
@@ -204,22 +209,22 @@ def test_products_across_digit_widths_match_tuple_addition(bits):
     big = 1 << bits
     f = SparsePolynomial(3, {(big // 2, 1, 0): 2, (big - 1, 0, 3): -1, (0, 0, 0): 4})
     g = SparsePolynomial(3, {(big // 2, big - 2, 0): 1, (1, 1, big // 2 + 1): 5, (0, 0, 1): -3})
-    assert (f * g).terms == _reference_product(f, g)
-    assert (g * f).terms == _reference_product(f, g)
-    assert max(max(e) for e in (f * g).terms) == big + big // 2 - 1
+    assert (f * g).coeffs == _reference_product(f, g)
+    assert (g * f).coeffs == _reference_product(f, g)
+    assert max(max(e) for e in (f * g).coeffs) == big + big // 2 - 1
 
 
 def test_schur_of_long_rows_matches_the_reference():
     # rows longer than 255 need digits of two bytes in the tableau sum
     for lam, n in ((P([300]), 1), (P([3, 300]), 2)):
-        assert schur(lam, n).terms == _reference_schur(lam, n).terms, (lam, n)
-    assert schur(P([300]), 1).terms == {(300,): 1}
+        assert schur(lam, n).coeffs == _reference_schur(lam, n).coeffs, (lam, n)
+    assert schur(P([300]), 1).coeffs == {(300,): 1}
 
 
 def test_zero_variable_constants_pass_through_the_codec():
     three = SparsePolynomial(0, {(): 3})
-    assert (three * SparsePolynomial(0, {(): -5})).terms == {(): -15}
-    assert expansion_to_polynomial(SchurExpansion({P(): 4}), 0).terms == {(): 4}
+    assert (three * SparsePolynomial(0, {(): -5})).coeffs == {(): -15}
+    assert expansion_to_polynomial(SchurExpansion({P(): 4}), 0).coeffs == {(): 4}
     digits = _digits(0, 0)
     assert _encode({(): 3}, digits) == [(0, 3)] and _decode({0: 3}, digits) == {(): 3}
 
@@ -252,26 +257,74 @@ def test_sparse_polynomial_in_zero_variables_is_a_constant():
 def test_sparse_polynomial_refuses_bad_exponent_vectors():
     # the codec packs integer digits only, so a float exponent is refused
     # here, not met as a crash inside a product
+    # the constructor and ``coefficient`` share one check
+    f = SparsePolynomial(2, {(1, 0): 1})
     for expo in ((-1, 0), (1.5, 0), ("1", 0), (1,), (0, 0, 0)):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {expo: 1})
+        with pytest.raises(ValueError):
+            f.coefficient(expo)
+    assert f.coefficient([1, 0]) == 1 and f.coefficient((0, 1)) == 0
 
 
 def test_sparse_polynomial_refuses_foreign_sums():
     f = SparsePolynomial(1, {(1,): 1})
-    with pytest.raises(TypeError):
-        f + 1
-    with pytest.raises(TypeError):
-        1 + f
-    with pytest.raises(TypeError):
-        f - 1
+    for other in (1, SchurExpansion({P([1]): 1}), EPolynomial({(1,): 1})):
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            other + f
+        with pytest.raises(TypeError):
+            f - other
+
+
+def test_sparse_polynomial_results_keep_n():
+    f = SparsePolynomial(3, {(1, 0, 2): 2, (0, 0, 0): -1})
+    g = SparsePolynomial(3, {(1, 0, 2): -2})
+    for result in (f + g, f - g, -f, 3 * f, f * 3, 0 * f, f * g, f - f):
+        assert type(result) is SparsePolynomial and result.n == 3
+    assert (f - f).coeffs == {} and (f + g).coeffs == {(0, 0, 0): -1}
+    # zero polynomials in different numbers of variables are different
+    assert SparsePolynomial(1) != SparsePolynomial(2)
+    assert SparsePolynomial(2) == SparsePolynomial(2, {(0, 1): 0})
+    h = SparsePolynomial(2, {(1, 0): 1})
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+        with pytest.raises(ValueError, match="variable counts differ"):
+            op(f, h)
+
+
+def test_sparse_polynomial_repr_and_items_are_pinned():
+    # the benchmark digests these strings, so their bytes are fixed
+    cases = [
+        (alternant((0, 1, 2)), "SparsePolynomial(n=3, terms=6)",
+         "[((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1), ((1, 2, 0), 1), "
+         "((2, 0, 1), 1), ((2, 1, 0), -1)]"),
+        (schur(P([1, 2]), 2), "SparsePolynomial(n=2, terms=2)",
+         "[((1, 2), 1), ((2, 1), 1)]"),
+        (elementary_symmetric(2, 3) * elementary_symmetric(1, 3),
+         "SparsePolynomial(n=3, terms=7)",
+         "[((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1), ((1, 1, 1), 3), "
+         "((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), 1)]"),
+        (SparsePolynomial(2, {(1, 0): 3, (0, 2): -1, (1, 1): 0}),
+         "SparsePolynomial(n=2, terms=2)", "[((0, 2), -1), ((1, 0), 3)]"),
+        (SparsePolynomial(0), "SparsePolynomial(n=0, terms=0)", "[]"),
+    ]
+    for poly, want_repr, want_items in cases:
+        assert (repr(poly), repr(poly.items())) == (want_repr, want_items)
+
+
+@pytest.mark.parametrize("wrap", [dict, MappingProxyType, UserDict])
+def test_every_container_takes_any_mapping(wrap):
+    assert SchurExpansion(wrap({P([1, 2]): 2})) == SchurExpansion({P([1, 2]): 2})
+    assert EPolynomial(wrap({(2, 1): 3})) == EPolynomial({(1, 2): 3})
+    assert SparsePolynomial(2, wrap({(1, 2): 3, (0, 0): 0})).coeffs == {(1, 2): 3}
 
 
 def test_eliminate_last_collects_one_exponent():
     h = SparsePolynomial(2, {(1, 2): 3, (2, 2): -1, (1, 0): 4})
-    assert eliminate_last(h, 2).terms == {(1,): 3, (2,): -1}
-    assert eliminate_last(h, 0).terms == {(1,): 4}
-    assert eliminate_last(h, 5).terms == {}
+    assert eliminate_last(h, 2).coeffs == {(1,): 3, (2,): -1}
+    assert eliminate_last(h, 0).coeffs == {(1,): 4}
+    assert eliminate_last(h, 5).coeffs == {}
     with pytest.raises(ValueError):
         eliminate_last(SparsePolynomial(1, {(2,): 1}), 0)
 
@@ -368,16 +421,16 @@ def test_expansion_to_polynomial_is_the_signed_sum_of_schur_polynomials():
         want = SparsePolynomial(n)
         for lam, c in coeffs.items():
             want = want + c * _reference_schur(lam, n)
-        assert expansion_to_polynomial(SchurExpansion(coeffs), n).terms == want.terms
+        assert expansion_to_polynomial(SchurExpansion(coeffs), n).coeffs == want.coeffs
 
 
 def test_expansion_to_polynomial_of_nothing_is_zero():
-    assert expansion_to_polynomial(SchurExpansion(), 3).terms == {}
+    assert expansion_to_polynomial(SchurExpansion(), 3).coeffs == {}
     e = SchurExpansion({P([2]): 3, P([1, 1]): -1})
     cancelled = e + (-1) * e
-    assert expansion_to_polynomial(cancelled, 3).terms == {}
+    assert expansion_to_polynomial(cancelled, 3).coeffs == {}
     # s_2 - s_11 in two variables: the xy terms of the two shapes cancel
-    assert expansion_to_polynomial(SchurExpansion({P([2]): 1, P([1, 1]): -1}), 2).terms == {
+    assert expansion_to_polynomial(SchurExpansion({P([2]): 1, P([1, 1]): -1}), 2).coeffs == {
         (2, 0): 1, (0, 2): 1,
     }
 

@@ -1,7 +1,12 @@
 """Cross-validation report: check counts, counterexample reporting, timing,
-and the back-substitution oracle."""
+the back-substitution oracle, and the command-line script that prints the
+report."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +117,15 @@ def test_oracle_inverts_a_negative_pivot():
 def test_oracle_rejects_what_it_cannot_invert(entries, message):
     with pytest.raises(ValueError, match=message):
         exact_integer_inverse(entries)
+
+
+def test_full_verify_script_refuses_a_negative_weight():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "full_verify.py"), "--max-weight", "-1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: full_verify.py")
+    assert error == "full_verify.py: error: --max-weight must be non-negative, got -1"
