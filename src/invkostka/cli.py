@@ -8,7 +8,8 @@ row as soon as it is computed, so it never holds the whole matrix;
 to represent or to hold), 2 on a computation domain error (weight
 mismatch, formula outside its validity range, input too deep for the
 recursion limit, a Steenrod row or an ``fpoly --n`` too long to hold, any
-other number too large to represent) or when the output cannot be written
+other number too large to represent, any other work that runs out of
+memory) or when the output cannot be written
 (a closed pipe, a full disk), 3 when a verification fails (self-check
 suites, or engine disagreement under ``entry --engine all``).
 
@@ -361,6 +362,9 @@ def run(argv: list[str]) -> int:
         return 2
     except RecursionError:
         _report("error: input too deep for the recursion limit")
+        return 2
+    except MemoryError:  # the unwinding has freed what the handler held
+        _report("error: out of memory")
         return 2
     except OSError as e:  # stdout failed: a closed pipe, a full disk
         _report(f"error: cannot write the output: {e.strerror or e}")

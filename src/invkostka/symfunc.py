@@ -8,8 +8,10 @@ tableaux that agree on the entries placed so far counted together), and
 Kostka numbers by horizontal-strip chains.  Shapes are part tuples in the
 package's non-decreasing layout.  The sparse product and the tableau count
 work on exponent vectors packed into integers by one codec (``_digits``),
-so adding exponents is adding integers.  The kernel serves as the ground
-truth that the recurrence engines are validated against.
+so adding exponents is adding integers, and a polynomial keeps its terms
+packed from one product to the next: they are unpacked once, when a caller
+first reads them.  The kernel serves as the ground truth that the
+recurrence engines are validated against.
 
 Polynomials (``SparsePolynomial``), Schur expansions and, in ``steenrod``,
 products of e_i share one sparse container, ``_Combination``; each supplies
@@ -105,7 +107,8 @@ class _Combination:
     zero), ``_sort_key``, the order of ``items`` (``None``: the keys' own
     order), and ``_like``, which builds a sum or scalar multiple from its
     clean dict and so carries any slot besides ``coeffs``.  Sums and
-    equality need the same type on both sides."""
+    equality need the same type on both sides.  ``coeffs`` is a plain slot
+    here; ``SparsePolynomial`` makes it a view decoded on first read."""
 
     __slots__ = ("coeffs",)
 
@@ -153,9 +156,20 @@ class _Combination:
 
 
 class SparsePolynomial(_Combination):
-    """Sparse polynomial over Z in n variables, keyed by exponent tuples."""
+    """Sparse polynomial over Z in n variables, keyed by exponent tuples.
 
-    __slots__ = ("n",)
+    Products, ``one``, ``elementary_symmetric``, ``schur``,
+    ``expansion_to_polynomial`` and ``steenrod.epoly_to_polynomial`` hold
+    their terms packed (``_digits``), with the digits that packed them and
+    ``_top``, a bound on every exponent, so a chain of products never
+    unpacks, and two polynomials packed alike compare packed.  ``coeffs`` is
+    a view decoded on first read and kept; from then on it is the only copy
+    of the terms, so a caller who mutates it cannot make two copies
+    disagree."""
+
+    __slots__ = ("n", "_packed", "_digits", "_top")
+
+    _view = _Combination.coeffs  # the base slot, here the decoded terms
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if n < 0:  # n = 0 is the ring of constants, keyed by ()
@@ -163,9 +177,21 @@ class SparsePolynomial(_Combination):
         self.n = n
         super().__init__(terms)
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], int]:
+        if self._packed is not None:
+            self._view = _decode(self._packed, self._digits)
+            self._packed = None
+        return self._view
+
+    @coeffs.setter
+    def coeffs(self, terms: dict[tuple[int, ...], int]) -> None:
+        self._view, self._packed = terms, None
+
     def _key(self, expo: Iterable[int]) -> tuple[int, ...]:
         expo = tuple(expo)
-        if len(expo) != self.n or any(not isinstance(e, int) or e < 0 for e in expo):
+        # an int subclass such as bool would print otherwise once packed
+        if len(expo) != self.n or any(type(e) is not int or e < 0 for e in expo):
             raise ValueError(f"bad exponent vector {expo!r} for n={self.n}")
         return expo
 
@@ -175,17 +201,58 @@ class SparsePolynomial(_Combination):
         obj.n = n
         return obj
 
+    @classmethod
+    def _from_packed(cls, n: int, packed: dict[int, int], digits: struct.Struct,
+                     top: int) -> "SparsePolynomial":
+        # packed is clean, and digits = _digits(n, top)
+        obj = object.__new__(cls)
+        obj.n, obj._packed, obj._digits, obj._top = n, packed, digits, top
+        return obj
+
+    def _bound(self) -> int:
+        """A bound on every exponent: the recorded one while packed."""
+        if self._packed is None:
+            return max(chain.from_iterable(self._view), default=0)
+        return self._top
+
+    def _packed_at(self, digits: struct.Struct):
+        """The (key, coeff) pairs packed by ``digits``, which must hold every
+        exponent; packed again only when the stored digits differ."""
+        if self._packed is None:
+            return _encode(self._view, digits)
+        if self._digits.format == digits.format:
+            return self._packed.items()
+        return _encode(_decode(self._packed, self._digits), digits)
+
+    @classmethod
+    def _sum(cls, n: int, scaled: list[tuple[int, "SparsePolynomial"]]) -> "SparsePolynomial":
+        """The sum of c * f over the (c, f) pairs, added packed under the
+        widest digits among them; the result is not decoded."""
+        top = max((f._bound() for _, f in scaled), default=0)
+        digits = _digits(n, top)
+        terms = _combine((k, c * d) for c, f in scaled for k, d in f._packed_at(digits))
+        return cls._from_packed(n, terms, digits, top)
+
     def _like(self, coeffs: dict) -> "SparsePolynomial":
         return self._unsafe(self.n, coeffs)
 
     @classmethod
     def one(cls, n: int) -> "SparsePolynomial":
-        return cls._unsafe(n, {(0,) * n: 1})
+        return cls._from_packed(n, {0: 1}, _digits(n, 0), 0)
 
     coefficient = _Combination.get
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the decoded terms: a struct has no pickle
+        return SparsePolynomial, (self.n, self.coeffs)
+
     def __eq__(self, other) -> bool:
-        return super().__eq__(other) and self.n == other.n
+        if type(other) is not type(self) or self.n != other.n:
+            return False
+        a, b = self._packed, other._packed
+        if a is not None and b is not None and self._digits.format == other._digits.format:
+            return a == b  # one packing for both, so equal keys are equal exponents
+        return self.coeffs == other.coeffs
 
     def __neg__(self) -> "SparsePolynomial":
         return self._like(_scale(self.coeffs, -1))
@@ -203,16 +270,15 @@ class SparsePolynomial(_Combination):
             return super().__mul__(other)  # a scalar, or NotImplemented
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
         # exponent vectors packed as digits wide enough for any sum of two:
         # a sum never carries, so a monomial product is one integer sum
-        top = max(chain.from_iterable(a), default=0) + max(chain.from_iterable(b), default=0)
+        top = self._bound() + other._bound()
         digits = _digits(self.n, top)
-        a, b = _encode(a, digits), _encode(b, digits)
+        a, b = self._packed_at(digits), other._packed_at(digits)
+        if len(a) > len(b):
+            a, b = b, a
         sums = _combine((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
-        return self._like(_decode(sums, digits))
+        return self._from_packed(self.n, sums, digits, top)
 
     __rmul__ = __mul__
 
@@ -248,16 +314,12 @@ def alternant(alpha: tuple[int, ...]) -> SparsePolynomial:
 
 
 def elementary_symmetric(r: int, n: int) -> SparsePolynomial:
-    """e_r in n variables: the sum of all squarefree monomials of degree r."""
+    """e_r in n variables: the sum of all squarefree monomials of degree r,
+    packed directly, one byte per variable, the first most significant."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    terms: dict[tuple[int, ...], int] = {}
-    for picks in combinations(range(n), r):
-        expo = [0] * n
-        for i in picks:
-            expo[i] = 1
-        terms[tuple(expo)] = 1
-    return SparsePolynomial._unsafe(n, terms)
+    terms = {sum(1 << 8 * (n - 1 - i) for i in picks): 1 for picks in combinations(range(n), r)}
+    return SparsePolynomial._from_packed(n, terms, _digits(n, 1), 1)
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +333,7 @@ def _hstrip_predecessors(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
     return tuple((pred[pred.count(0) :], size - sum(pred)) for pred in product(*rows))
 
 
-def _tableau_sum(seed: dict, n: int) -> dict:
+def _tableau_sum(seed: dict, n: int) -> SparsePolynomial:
     """Weighted exponent counts of the semistandard tableaux with entries in
     1..n, filled from entry n down to entry 1, each entry a horizontal strip.
 
@@ -282,9 +344,10 @@ def _tableau_sum(seed: dict, n: int) -> dict:
     entries not placed yet are zero digits, so a finished tail is already
     the key of its whole exponent vector.  Tableaux that agree on the
     entries placed so far are counted once, not walked one by one, and the
-    keys are decoded once, at the end."""
+    polynomial keeps the keys packed."""
     # entry j fills at most one cell per column
-    digits = _digits(n, max((shape[-1] for shape in seed if shape), default=0))
+    top = max((shape[-1] for shape in seed if shape), default=0)
+    digits = _digits(n, top)
     bits = 8 * digits.size // max(n, 1)
     level = {shape: {0: c} for shape, c in seed.items()}
     done: dict[int, int] = {}
@@ -301,7 +364,7 @@ def _tableau_sum(seed: dict, n: int) -> dict:
                              below.setdefault(pred, {}))
         level = below
     _combine(level.get((), {}).items(), done)
-    return _decode(done, digits)
+    return SparsePolynomial._from_packed(n, done, digits, top)
 
 
 def schur(lam: Partition, n: int) -> SparsePolynomial:
@@ -310,7 +373,7 @@ def schur(lam: Partition, n: int) -> SparsePolynomial:
     layer by layer (``_tableau_sum``), not walked one at a time."""
     if n < lam.length:
         raise ValueError(f"{lam} needs at least {lam.length} variables")
-    return SparsePolynomial._unsafe(n, _tableau_sum({lam.parts: 1}, n))
+    return _tableau_sum({lam.parts: 1}, n)
 
 
 def eliminate_last(h: SparsePolynomial, r: int) -> SparsePolynomial:
@@ -388,5 +451,4 @@ def expansion_to_polynomial(expansion: SchurExpansion, n: int) -> SparsePolynomi
     too_long = [p for p in expansion.coeffs if p.length > n]
     if too_long:
         raise ValueError(f"{too_long[0]} needs more than {n} variables")
-    seed = {part.parts: c for part, c in expansion.coeffs.items()}
-    return SparsePolynomial._unsafe(n, _tableau_sum(seed, n))
+    return _tableau_sum({part.parts: c for part, c in expansion.coeffs.items()}, n)

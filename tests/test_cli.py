@@ -421,3 +421,20 @@ def test_full_disk_exits_2_without_traceback():
                                stdout=full, stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == \
         (2, f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def _cap_address_space():
+    # runs in the child before exec: 256 MB, well under what the work below
+    # asks for, so the probe fails fast instead of filling the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux applies it")
+def test_running_out_of_memory_exits_2_without_traceback():
+    # the row of weight 40 - 20 + 3*20 = 80 walks more partitions than fit
+    # under the cap; never run this probe uncapped
+    proc = _module_command(["steenrod", "--op", "P", "--k", "20", "--m", "40", "--p", "3"],
+                           capture_output=True, timeout=60, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")

@@ -1,6 +1,10 @@
 """Steenrod coefficient rows, the Wu-style binomial conventions, and the
-integral lift through products of elementary symmetric functions.  The
-sweep of squares against the Wu-style sums is acceptance criterion 8."""
+integral lift through products of elementary symmetric functions, and
+powers of e_1 against their multinomial coefficients.  The sweep of squares
+against the Wu-style sums is acceptance criterion 8."""
+
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -19,7 +23,7 @@ from invkostka.steenrod import (
 )
 from invkostka.inverse import monomial_to_schur
 from invkostka.partitions import Partition
-from invkostka.symfunc import SchurExpansion, SparsePolynomial, schur
+from invkostka.symfunc import SchurExpansion, SparsePolynomial, elementary_symmetric, schur
 
 P = Partition
 
@@ -165,6 +169,21 @@ def test_epoly_to_polynomial_needs_a_variable():
     assert epoly_to_polynomial(EPolynomial({(1,): 1}), 0) == SparsePolynomial(0)
     with pytest.raises(ValueError):
         epoly_to_polynomial(ep, -1)
+
+
+@pytest.mark.parametrize("k, n", [(8, 9), (300, 2)])
+def test_e1_power_has_multinomial_coefficients(k, n):
+    # x^a in e_1^k has coefficient k!/prod a_i!; at n = 2 the exponents pass
+    # 255 partway through the chain of products, so the packed digits widen
+    want = {}
+    for bars in combinations(range(k + n - 1), n - 1):  # stars and bars
+        edges = (-1, *bars, k + n - 1)
+        a = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+        want[a] = factorial(k) // prod(map(factorial, a))
+    assert epoly_to_polynomial(EPolynomial({(1,) * k: 1}), n).coeffs == want
+    # a sum of that product and e_2, whose digits are narrower at n = 2
+    got = epoly_to_polynomial(EPolynomial({(1,) * k: 1, (2,): 5}), n)
+    assert got == SparsePolynomial(n, want) + 5 * elementary_symmetric(2, n)
 
 
 def test_modp_expansion_container():

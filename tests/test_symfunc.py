@@ -3,7 +3,8 @@ is checked against.
 
 Here: Schur polynomials and sparse products against recursive reference
 implementations, also with exponents past every digit width of the packed
-exponent codec, the codec's round trip, the coefficient-extraction recovery of Schur
+exponent codec, the codec's round trip, equal polynomials packed at
+different widths, the coefficient-extraction recovery of Schur
 coefficients, the last-variable elimination law on random polynomials, the
 shared combination container (mapping inputs, exponent checks, sums that
 keep n, pinned repr and items), and the unitriangularity of the
@@ -12,6 +13,8 @@ alternant-quotient, elimination and column-strip (Pieri) sweeps are
 acceptance criterion 10.
 """
 
+import copy
+import pickle
 import random
 from collections import UserDict
 from functools import cmp_to_key
@@ -259,12 +262,40 @@ def test_sparse_polynomial_refuses_bad_exponent_vectors():
     # here, not met as a crash inside a product
     # the constructor and ``coefficient`` share one check
     f = SparsePolynomial(2, {(1, 0): 1})
-    for expo in ((-1, 0), (1.5, 0), ("1", 0), (1,), (0, 0, 0)):
+    for expo in ((-1, 0), (1.5, 0), ("1", 0), (True, 0), (1,), (0, 0, 0)):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {expo: 1})
         with pytest.raises(ValueError):
             f.coefficient(expo)
     assert f.coefficient([1, 0]) == 1 and f.coefficient((0, 1)) == 0
+
+
+def test_equal_polynomials_packed_at_different_widths_agree():
+    # a product packs at the width its exponent bound needs: x^a times y^a
+    # bounds 2a, while x^a y^a times one bounds a, so each pair below holds
+    # the same terms under two digit widths (the last pair past 2^64)
+    x = lambda e: SparsePolynomial(2, {(e, 0): 1})
+    y = lambda e: SparsePolynomial(2, {(0, e): 1})
+    xy = lambda e: SparsePolynomial(2, {(e, e): 1})
+    one = SparsePolynomial.one(2)
+    s = schur(P([1, 2]), 2)
+    pairs = [
+        (lambda: s * x(200) * y(200), lambda: s * xy(200)),
+        (lambda: x(200) * y(200), lambda: xy(200) * one),
+        (lambda: x(2**64 - 1) * y(2**64 - 1), lambda: xy(2**64 - 1) * one),
+    ]
+    for wide, narrow in pairs:
+        a, b = wide(), narrow()
+        assert a._digits.format != b._digits.format
+        assert a == b and b == a
+        assert (a.items(), repr(a)) == (b.items(), repr(b))
+        a, b = wide(), narrow()
+        b.coeffs  # one side decoded, the other still packed
+        assert a == b and b == a and a * one == b
+        a, b = wide(), narrow()
+        a.coeffs[(7, 7)] = 1  # the decoded view is the only copy
+        assert a != b and b != a and a.coefficient((7, 7)) == 1
+        assert copy.deepcopy(b) == b == pickle.loads(pickle.dumps(b))
 
 
 def test_sparse_polynomial_refuses_foreign_sums():
