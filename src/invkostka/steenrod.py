@@ -207,6 +207,10 @@ def epoly_to_polynomial(ep: EPolynomial, n: int) -> SparsePolynomial:
     their whole term; n = 0 leaves the constant term."""
     if n < 0:
         raise ValueError(f"negative number of variables: {n}")
-    return SparsePolynomial._sum(
-        n, [(c, _e_product_poly(key, n)) for key, c in ep.items() if all(i <= n for i in key)]
+    terms = _combine(
+        (expo, c * d)
+        for key, c in ep.items()
+        if all(i <= n for i in key)
+        for expo, d in _e_product_poly(key, n).coeffs.items()
     )
+    return SparsePolynomial._unsafe(n, terms)

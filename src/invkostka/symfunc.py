@@ -91,6 +91,12 @@ def _decode(terms: dict, digits: struct.Struct) -> dict:
     return {unpack(key.to_bytes(size, "big")): c for key, c in terms.items()}
 
 
+def _unit_keys(n: int, digits: struct.Struct) -> list[int]:
+    """The keys of x_1, ..., x_n, packed as ``_encode`` packs them."""
+    units = (digits.pack(*(int(i == j) for j in range(n))) for i in range(n))
+    return [int.from_bytes(unit, "big") for unit in units]
+
+
 def staircase(n: int) -> tuple[int, ...]:
     """The staircase exponent vector (0, 1, ..., n-1); empty for n = 0."""
     if n < 0:
@@ -158,16 +164,14 @@ class _Combination:
 class SparsePolynomial(_Combination):
     """Sparse polynomial over Z in n variables, keyed by exponent tuples.
 
-    Products, ``one``, ``elementary_symmetric``, ``schur``,
-    ``expansion_to_polynomial`` and ``steenrod.epoly_to_polynomial`` hold
-    their terms packed (``_digits``), with the digits that packed them and
-    ``_top``, a bound on every exponent, so a chain of products never
-    unpacks, and two polynomials packed alike compare packed.  ``coeffs`` is
-    a view decoded on first read and kept; from then on it is the only copy
-    of the terms, so a caller who mutates it cannot make two copies
-    disagree."""
+    Products, ``one``, ``elementary_symmetric``, ``schur`` and
+    ``expansion_to_polynomial`` keep their terms packed, by the digits
+    ``_digits(n, _top)`` of ``_top``, a bound on every exponent, so a chain
+    of products never unpacks.  ``coeffs`` is a view decoded on first
+    read; from then on it is the only copy of the terms.  Sums and equality
+    read it."""
 
-    __slots__ = ("n", "_packed", "_digits", "_top")
+    __slots__ = ("n", "_packed", "_top")
 
     _view = _Combination.coeffs  # the base slot, here the decoded terms
 
@@ -180,7 +184,7 @@ class SparsePolynomial(_Combination):
     @property
     def coeffs(self) -> dict[tuple[int, ...], int]:
         if self._packed is not None:
-            self._view = _decode(self._packed, self._digits)
+            self._view = _decode(self._packed, _digits(self.n, self._top))
             self._packed = None
         return self._view
 
@@ -202,11 +206,10 @@ class SparsePolynomial(_Combination):
         return obj
 
     @classmethod
-    def _from_packed(cls, n: int, packed: dict[int, int], digits: struct.Struct,
-                     top: int) -> "SparsePolynomial":
-        # packed is clean, and digits = _digits(n, top)
+    def _from_packed(cls, n: int, packed: dict[int, int], top: int) -> "SparsePolynomial":
+        # packed is clean, by _digits(n, top)
         obj = object.__new__(cls)
-        obj.n, obj._packed, obj._digits, obj._top = n, packed, digits, top
+        obj.n, obj._packed, obj._top = n, packed, top
         return obj
 
     def _bound(self) -> int:
@@ -217,42 +220,22 @@ class SparsePolynomial(_Combination):
 
     def _packed_at(self, digits: struct.Struct):
         """The (key, coeff) pairs packed by ``digits``, which must hold every
-        exponent; packed again only when the stored digits differ."""
-        if self._packed is None:
-            return _encode(self._view, digits)
-        if self._digits.format == digits.format:
+        exponent: the stored ones if they were packed alike."""
+        if self._packed is not None and _digits(self.n, self._top).size == digits.size:
             return self._packed.items()
-        return _encode(_decode(self._packed, self._digits), digits)
-
-    @classmethod
-    def _sum(cls, n: int, scaled: list[tuple[int, "SparsePolynomial"]]) -> "SparsePolynomial":
-        """The sum of c * f over the (c, f) pairs, added packed under the
-        widest digits among them; the result is not decoded."""
-        top = max((f._bound() for _, f in scaled), default=0)
-        digits = _digits(n, top)
-        terms = _combine((k, c * d) for c, f in scaled for k, d in f._packed_at(digits))
-        return cls._from_packed(n, terms, digits, top)
+        return _encode(self.coeffs, digits)
 
     def _like(self, coeffs: dict) -> "SparsePolynomial":
         return self._unsafe(self.n, coeffs)
 
     @classmethod
     def one(cls, n: int) -> "SparsePolynomial":
-        return cls._from_packed(n, {0: 1}, _digits(n, 0), 0)
+        return cls._from_packed(n, {0: 1}, 0)
 
     coefficient = _Combination.get
 
-    def __reduce__(self):
-        # copy and pickle rebuild from the decoded terms: a struct has no pickle
-        return SparsePolynomial, (self.n, self.coeffs)
-
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self) or self.n != other.n:
-            return False
-        a, b = self._packed, other._packed
-        if a is not None and b is not None and self._digits.format == other._digits.format:
-            return a == b  # one packing for both, so equal keys are equal exponents
-        return self.coeffs == other.coeffs
+        return super().__eq__(other) and self.n == other.n
 
     def __neg__(self) -> "SparsePolynomial":
         return self._like(_scale(self.coeffs, -1))
@@ -278,7 +261,7 @@ class SparsePolynomial(_Combination):
         if len(a) > len(b):
             a, b = b, a
         sums = _combine((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
-        return self._from_packed(self.n, sums, digits, top)
+        return self._from_packed(self.n, sums, top)
 
     __rmul__ = __mul__
 
@@ -315,11 +298,12 @@ def alternant(alpha: tuple[int, ...]) -> SparsePolynomial:
 
 def elementary_symmetric(r: int, n: int) -> SparsePolynomial:
     """e_r in n variables: the sum of all squarefree monomials of degree r,
-    packed directly, one byte per variable, the first most significant."""
+    each packed as a sum of r unit keys."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    terms = {sum(1 << 8 * (n - 1 - i) for i in picks): 1 for picks in combinations(range(n), r)}
-    return SparsePolynomial._from_packed(n, terms, _digits(n, 1), 1)
+    digits = _digits(n, 1)
+    terms = dict.fromkeys(map(sum, combinations(_unit_keys(n, digits), r)), 1)
+    return SparsePolynomial._from_packed(n, terms, 1)
 
 
 @lru_cache(maxsize=None)
@@ -348,23 +332,23 @@ def _tableau_sum(seed: dict, n: int) -> SparsePolynomial:
     # entry j fills at most one cell per column
     top = max((shape[-1] for shape in seed if shape), default=0)
     digits = _digits(n, top)
-    bits = 8 * digits.size // max(n, 1)
+    units = _unit_keys(n, digits)
     level = {shape: {0: c} for shape, c in seed.items()}
     done: dict[int, int] = {}
     for j in range(n, 0, -1):
         below: dict = {}
-        shift = bits * (n - j)
+        unit = units[j - 1]
         for shape, tails in level.items():
             if not shape:  # entries 1..j stay zero
                 _combine(tails.items(), done)
             elif len(shape) <= j:  # else the first column needs more than j values
                 for pred, removed in _hstrip_predecessors(shape):
-                    step = removed << shift
+                    step = removed * unit
                     _combine(((k + step, c) for k, c in tails.items()),
                              below.setdefault(pred, {}))
         level = below
     _combine(level.get((), {}).items(), done)
-    return SparsePolynomial._from_packed(n, done, digits, top)
+    return SparsePolynomial._from_packed(n, done, top)
 
 
 def schur(lam: Partition, n: int) -> SparsePolynomial:
