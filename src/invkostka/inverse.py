@@ -32,31 +32,40 @@ weight once.  Only duan uses the tables; er and brute run on part tuples.
 Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
 written once: on ids for duan, on part tuples for er.  A move removes one
 part of lam and carries every mu' that goes with it, for duan the stored
-strip predecessors and for er the one reduction.  The memoized engine
-sums its own entries over them from its own frame, so a step adds no stack
-depth.  The same moves serve twice more: the S and T chains, whose signed
-counts reproduce the entry, unroll them down to the empty pair in one lazy
-walk, which the enumerations collect and the CLI writes chain by chain (the
-S walk decodes ids to part tuples only to record each step), and the
-Corollary 1 check sums strip-engine entries over one move of each step.  On
-top of these sit the signed-solution polynomial f and labeled matrix
-builders for whole-weight tables.  The matrix builders and the CLI's
-``matrix`` command share one lazy row generator, so the CLI can write each
-row as soon as it is computed.  Every partition it enumerates has the weight
-it was given, so it calls the entry on ids without the per-entry weight
-check of the public entry functions.  A row sums its entries that keep the
-weight itself, without the memo, and reads their sub-entries through tables
-of its own (``_inverse_row``); ``monomial_to_schur``, behind ``row`` and
-``steenrod``, reads the same row.  So the duan memo holds only sub-entries
-of lower weights, never an entry of a matrix or row's own weight, and
-``monomial_to_schur`` keeps each lam's nonzero support once, keyed by its
-parts (``_schur_row``), because a long-lived caller such as a Steenrod
-computation asks for the same few rows again and again.  The matrix
+strip predecessors and for er the one reduction.  The duan step joins two
+rules, each written once: the peels of lam against the largest part of mu
+(``_peels``) and the strip-table read of a strip size (``_strip_column``).
+The memoized engine sums its own entries over them from its own frame, so a
+step adds no stack depth.  The same moves serve twice more: the S and T
+chains, whose signed counts reproduce the entry, unroll them down to the
+empty pair in one lazy walk, which the enumerations collect and the CLI
+writes chain by chain (the S walk decodes ids to part tuples only to record
+each step), and the Corollary 1 check sums strip-engine entries over one
+move of each step.  On top of these sit the signed-solution polynomial f and
+labeled matrix builders for whole-weight tables.  The matrix builders and
+the CLI's ``matrix`` command share one lazy row generator, so the CLI can
+write each row as soon as it is computed.  Every partition it enumerates has
+the weight it was given, so it calls the entry on ids without the per-entry
+weight check of the public entry functions.  A row groups its columns by
+largest part (``_column_groups``: the matrix builders group once per weight,
+``_schur_row`` once per row).  It visits only what the zero gate leaves
+open: the groups whose largest part is at most lam's, and in each the
+columns with at least as many parts as lam.  In the group of lam's own
+largest part, each column's entry is tail-reduced and read through the memo
+(``_duan_entry``).  Every smaller group takes lam's peels once and sums its
+columns' entries itself, without the memo, reading their sub-entries through
+tables of its own (``_inverse_row``); ``monomial_to_schur``, behind ``row``
+and ``steenrod``, reads the same row.  So the duan memo holds only
+sub-entries of lower weights, never an entry of a matrix or row's own
+weight, and ``monomial_to_schur`` keeps each lam's nonzero support once,
+keyed by its parts (``_schur_row``), because a long-lived caller such as a
+Steenrod computation asks for the same few rows again and again.  The matrix
 builders never fill that row memo.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -212,34 +221,47 @@ _duan_recurse = lru_cache(maxsize=None)(_duan_sum)
 
 
 def _duan_moves(lam: int, mu: int):
-    """One strip-removal step on ids as (sign, j, lam', omegas) moves, one
-    per distinct part v of lam that is at least the largest part of mu: drop
-    one v from lam and, from the rest of mu, a vertical strip of size
-    j = v - max(mu), with sign (-1)^j.  ``omegas`` are the ids that removing
-    that strip leaves, in canonical order; a part that leaves none makes no
-    move.  The strip table keeps them by the rest of mu and the size: a size
-    it lacks is filled on first use by one predecessor walk of that size, or
-    stored empty without a walk when it is longer than the rest."""
+    """One strip-removal step on ids as (sign, j, lam', omegas) moves: each
+    peel of lam against the largest part of mu (``_peels``) with the ids
+    that removing its strip from the rest of mu leaves (``_strip_column``),
+    in canonical order.  A peel that leaves none makes no move."""
     if not mu:
         return  # nothing to peel
-    mu_max = _top[mu]
     rest = _rest[mu]
-    preds = _preds.get(rest)
-    if preds is None:
-        preds = _preds[rest] = {}
-    for value, reduced in _part_removals(lam):
-        strip = value - mu_max
-        if strip < 0:
-            continue
-        omegas = preds.get(strip)
-        if omegas is None:
-            omegas = preds[strip] = (
-                tuple(map(_intern, _strip_predecessors(_decode(rest), strip)))
-                if strip <= _length[rest]
-                else ()
-            )
+    for sign, strip, reduced in _peels(lam, _top[mu]):
+        omegas = _strip_column(rest, strip)
         if omegas:
-            yield (-1 if strip % 2 else 1), strip, reduced, omegas
+            yield sign, strip, reduced, omegas
+
+
+def _peels(lam: int, mu_max: int) -> list[tuple[int, int, int]]:
+    """The removals of lam against a largest part mu_max of mu, as
+    (sign, j, lam') triples: one per distinct part v >= mu_max of lam, which
+    drops one v from lam and pairs with a vertical strip of size
+    j = v - mu_max, with sign (-1)^j."""
+    return [
+        (-1 if (v - mu_max) % 2 else 1, v - mu_max, reduced)
+        for v, reduced in _part_removals(lam)
+        if v >= mu_max
+    ]
+
+
+def _strip_column(rest: int, strip: int) -> tuple[int, ...]:
+    """The ids that removing a vertical strip of the given size from the id
+    ``rest`` leaves, in canonical order, read from the strip table.  A size
+    it lacks is filled on first use by one predecessor walk of that size, or
+    stored empty without a walk when it is longer than the partition."""
+    column = _preds.get(rest)
+    if column is None:
+        column = _preds[rest] = {}
+    omegas = column.get(strip)
+    if omegas is None:
+        omegas = column[strip] = (
+            tuple(map(_intern, _strip_predecessors(_decode(rest), strip)))
+            if strip <= _length[rest]
+            else ()
+        )
+    return omegas
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +488,7 @@ def _schur_row(parts: tuple[int, ...]) -> tuple[tuple[Partition, ...], tuple[int
     labels and their values, in label order.  Keyed by parts, not ids, so
     clearing the id table leaves it valid."""
     m = sum(parts)
-    row = _inverse_row(_intern(parts), _weight_ids(m))
+    row = _inverse_row(_intern(parts), _column_groups(_weight_ids(m)))
     return tuple(compress(_enumerate_cached(m), row)), tuple(filter(None, row))
 
 
@@ -526,25 +548,61 @@ class _SubEntries(dict):
         return value
 
 
-def _inverse_row(lam: int, ids: tuple[int, ...]) -> tuple[int, ...]:
-    """Row ``lam`` of the inverse Kostka matrix over the ids of its weight.
-    A pair whose largest parts agree, or that the zero gate decides, goes to
-    the entry.  A pair left keeps the weight and is summed here, reading its
-    sub-entries through one table per removal of lam; at weight 20 each is
-    read about 11 times.  The tables go with the row."""
-    reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
+# a row's columns: their count, and per largest part their lengths, positions
+# and ids (``_column_groups``)
+_Columns = tuple[int, list[tuple[list[int], list[int], list[int]]]]
+
+
+def _column_groups(ids: tuple[int, ...]) -> _Columns:
+    """The columns of a row over ids of one weight in canonical order, as
+    their count and their groups by largest part: group t holds the lengths,
+    the positions and the ids of the columns whose largest part is t, in
+    canonical order, which orders them by length."""
+    groups: list[tuple[list[int], list[int], list[int]]] = []
+    for position, mu in enumerate(ids):
+        top = _top[mu]
+        while len(groups) <= top:
+            groups.append(([], [], []))
+        lengths, positions, mus = groups[top]
+        lengths.append(_length[mu])
+        positions.append(position)
+        mus.append(mu)
+    return len(ids), groups
+
+
+def _inverse_row(lam: int, columns: _Columns) -> tuple[int, ...]:
+    """Row ``lam`` of the inverse Kostka matrix over the columns of its
+    weight, as ``_column_groups`` groups them.  The row starts from zeros and
+    visits only the columns that the zero gate leaves open: none whose
+    largest part is larger than lam's, and none with fewer parts than lam.
+    In the group of lam's own largest part, each column's entry is
+    tail-reduced and read through the memo (``_duan_entry``).  A group with
+    a smaller largest part t takes the peels of lam against t once and sums
+    each column's sub-entries over them here, reading them through one table
+    per removal of lam; at weight 20 each is read about 11 times.  The
+    tables go with the row."""
+    count, groups = columns
     top, length = _top[lam], _length[lam]
-    row = []
-    for mu in ids:
-        if _top[mu] >= top or _length[mu] < length:
-            row.append(_duan_entry(lam, mu))
+    reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
+    row = [0] * count
+    for t, (lengths, positions, mus) in enumerate(groups[: top + 1]):
+        first = bisect_left(lengths, length)
+        if first == len(mus):
+            continue  # no column here has as many parts as lam
+        group = zip(positions[first:], mus[first:])
+        if t == top:
+            for position, mu in group:
+                row[position] = _duan_entry(lam, mu)
             continue
         # an entry of weight m is read back only from a higher weight, which
         # a table of weight m never asks for, so it must never enter the memo
-        total = 0
-        for sign, _, reduced, omegas in _duan_moves(lam, mu):
-            total += sign * sum(map(reads[reduced], omegas))
-        row.append(total)
+        peels = [(sign, strip, reads[reduced]) for sign, strip, reduced in _peels(lam, t)]
+        for position, mu in group:
+            rest = _rest[mu]
+            total = 0
+            for sign, strip, read in peels:
+                total += sign * sum(map(read, _strip_column(rest, strip)))
+            row[position] = total
     return tuple(row)
 
 
@@ -554,12 +612,14 @@ def _weight_rows(m: int, inverse: bool):
     that computes each row only when it is asked for.  The weight is checked
     here, before any row.  Every partition of m has weight m, so the entries
     skip the weight check: duan rows (``_inverse_row``) take the ids of the
-    weight and tableau counting the part tuples.  Neither memoizes an entry
-    of weight m, only the sub-entries below it."""
+    weight, grouped once for every row, and tableau counting the part
+    tuples.  Neither memoizes an entry of weight m, only the sub-entries
+    below it."""
     labels = tuple(enumerate_partitions(m))
     if inverse:
         ids = _weight_ids(m)
-        rows = (_inverse_row(a, ids) for a in ids)
+        columns = _column_groups(ids)
+        rows = (_inverse_row(a, columns) for a in ids)
     else:
         parts = [p.parts for p in labels]
         rows = (tuple(_kostka_sum(a, b) for b in parts) for a in parts)

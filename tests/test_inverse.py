@@ -397,6 +397,73 @@ def test_warm_rows_equal_the_er_rows():
     assert inverse._duan_recurse.cache_info().currsize == 0
 
 
+def _check_row(row, lam, ids, labels):
+    # a grouped row against the entry of each pair and the er engine's row
+    assert row == tuple(inverse._duan_entry(lam, mu) for mu in ids)
+    want = P(inverse._decode(lam))
+    assert row == tuple(inv_kostka_er(want, mu) for mu in labels), want
+
+
+def test_grouped_rows_equal_the_per_pair_entries_and_the_er_rows():
+    # the row memo's path groups its columns per call, here on a freshly
+    # cleared id table each time; the matrix builders share one grouping
+    for m in range(0, 13):
+        labels = enumerate_partitions(m)
+        for lam in labels:
+            inverse._intern.cache_clear()
+            ids = inverse._weight_ids(m)
+            a = inverse._intern(lam.parts)
+            _check_row(inverse._inverse_row(a, inverse._column_groups(ids)), a, ids, labels)
+        ids = inverse._weight_ids(m)
+        _, rows = inverse._weight_rows(m, True)
+        for a, row in zip(ids, rows, strict=True):
+            _check_row(row, a, ids, labels)
+    rng = random.Random(28)
+    picks = [rng.choice(enumerate_partitions(rng.randint(20, 26))) for _ in range(30)]
+    for lam in picks + [P([1] * 30), P([30])]:
+        labels = enumerate_partitions(lam.weight)
+        ids = inverse._weight_ids(lam.weight)
+        a = inverse._intern(lam.parts)
+        _check_row(inverse._inverse_row(a, inverse._column_groups(ids)), a, ids, labels)
+    clear_caches()
+
+
+def test_rows_visit_only_the_pairs_the_zero_gate_leaves_open(monkeypatch):
+    # a pair of the row's own weight reaches the entry only when its largest
+    # parts agree and mu has at least as many parts as lam; the rows sum every
+    # other open pair from the peels and the strip table, never a move, and
+    # take the peels once per group that holds an open pair
+    m = 12
+    clear_caches()
+    walks = _count_strip_walks(monkeypatch)
+    own = {"_duan_entry": [], "_duan_moves": [], "_peels": []}
+    for name, pairs in own.items():
+        def counted(lam, mu, call=getattr(inverse, name), pairs=pairs):
+            if sum(inverse._decode(lam)) == m:
+                pairs.append((lam, mu))
+            return call(lam, mu)
+
+        monkeypatch.setattr(inverse, name, counted)
+    inverse_kostka_matrix(m)
+    for lam in enumerate_partitions(m):
+        monomial_to_schur(lam)
+    ids = inverse._weight_ids(m)
+    top, length = inverse._top, inverse._length
+    same_top = [
+        (a, b) for a in ids for b in ids if top[b] == top[a] and length[b] >= length[a]
+    ]
+    assert sorted(own["_duan_entry"]) == sorted(same_top * 2)
+    assert own["_duan_moves"] == []
+    peeled = {
+        (a, top[b]) for a in ids for b in ids if top[b] < top[a] and length[b] >= length[a]
+    }
+    assert sorted(own["_peels"]) == sorted(list(peeled) * 2)
+    # the work below the rows is the same as when every pair was visited
+    assert len(walks) == 388
+    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert len(inverse._top) == 272
+
+
 def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
     # the values cannot tell: the recursion is right on unreduced pairs and
     # gives 0 below mu, so guard the gate that keeps such pairs out of the memo
