@@ -19,11 +19,12 @@ The strip engine runs on partition ids.  Every part tuple it meets is
 interned once into a table beside it, which keeps per id the largest part,
 the length and the id without the largest part.  A sparse strip table keeps
 the strip predecessors as ids, filled on first use and only for the ids that
-are the rest of some mu (626 of the 2,714 ids at weight 20).  A step that
+are the rest of some mu (627 of the 2,714 ids at weight 20).  A step that
 meets a strip size the table lacks fills that size alone, with one
 predecessor walk of exactly that size; a strip longer than the partition is
 stored empty without a walk.  Two memos over one int sit beside the tables:
-the one-part removals of an id and the ids of the partitions of a weight.
+the one-part removals of an id and the ids of the partitions of a weight,
+grouped as a row's columns.
 So the engine's memo hashes two small ints, and its step reads stored ids
 instead of slicing and hashing tuples.  The public entry points intern their
 arguments once, and the row and matrix builders intern the partitions of a
@@ -46,21 +47,20 @@ labeled matrix builders for whole-weight tables.  The matrix builders and
 the CLI's ``matrix`` command share one lazy row generator, so the CLI can
 write each row as soon as it is computed.  Every partition it enumerates has
 the weight it was given, so it calls the entry on ids without the per-entry
-weight check of the public entry functions.  A row groups its columns by
-largest part (``_column_groups``: the matrix builders group once per weight,
-``_schur_row`` once per row).  It visits only what the zero gate leaves
-open: the groups whose largest part is at most lam's, and in each the
-columns with at least as many parts as lam.  In the group of lam's own
-largest part, each column's entry is tail-reduced and read through the memo
-(``_duan_entry``).  Every smaller group takes lam's peels once and sums its
-columns' entries itself, without the memo, reading their sub-entries through
-tables of its own (``_inverse_row``); ``monomial_to_schur``, behind ``row``
-and ``steenrod``, reads the same row.  So the duan memo holds only
-sub-entries of lower weights, never an entry of a matrix or row's own
-weight, and ``monomial_to_schur`` keeps each lam's nonzero support once,
-keyed by its parts (``_schur_row``), because a long-lived caller such as a
-Steenrod computation asks for the same few rows again and again.  The matrix
-builders never fill that row memo.
+weight check of the public entry functions.  A row reads its columns
+grouped by largest part (``_column_groups``), one grouping per weight kept
+beside its ids (``_weight_columns``).  It visits only what the zero gate
+leaves open: the groups whose largest part is at most lam's, and in each the
+columns with at least as many parts as lam.  Every such group, lam's own
+included, takes lam's peels once and sums its columns' entries itself,
+without the memo, reading their sub-entries through tables of its own
+(``_inverse_row``); against its own largest part lam has a single peel, of
+strip size 0.  ``monomial_to_schur``, behind ``row`` and ``steenrod``, reads
+the same row.  So the duan memo holds only sub-entries of lower weights,
+never an entry of a matrix or row's own weight, and ``monomial_to_schur``
+keeps each lam's nonzero support once, keyed by its parts (``_schur_row``),
+because a long-lived caller such as a Steenrod computation asks for the same
+few rows again and again.  The matrix builders never fill that row memo.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _decode(i: int) -> tuple[int, ...]:
 def _clear_ids() -> None:
     """Drop every id but the empty partition's.  A rebuilt table may give a
     partition another id, so the memos over ids go too."""
-    for memo in (_duan_recurse, _part_removals, _weight_ids):
+    for memo in (_duan_recurse, _part_removals, _weight_columns):
         memo.cache_clear()
     for table in (_id_of, _id_of_parts, _preds):
         table.clear()
@@ -165,9 +165,10 @@ _intern.cache_clear = _clear_ids
 
 
 @lru_cache(maxsize=None)
-def _weight_ids(m: int) -> tuple[int, ...]:
-    """The ids of the partitions of m >= 0 in canonical order."""
-    return tuple(_intern(p.parts) for p in _enumerate_cached(m))
+def _weight_columns(m: int) -> _Columns:
+    """The ids of the partitions of m >= 0 in canonical order, grouped as a
+    row's columns (``_column_groups``)."""
+    return _column_groups(tuple(_intern(p.parts) for p in _enumerate_cached(m)))
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +489,7 @@ def _schur_row(parts: tuple[int, ...]) -> tuple[tuple[Partition, ...], tuple[int
     labels and their values, in label order.  Keyed by parts, not ids, so
     clearing the id table leaves it valid."""
     m = sum(parts)
-    row = _inverse_row(_intern(parts), _column_groups(_weight_ids(m)))
+    row = _inverse_row(_intern(parts), _weight_columns(m))
     return tuple(compress(_enumerate_cached(m), row)), tuple(filter(None, row))
 
 
@@ -548,15 +549,15 @@ class _SubEntries(dict):
         return value
 
 
-# a row's columns: their count, and per largest part their lengths, positions
-# and ids (``_column_groups``)
-_Columns = tuple[int, list[tuple[list[int], list[int], list[int]]]]
+# a row's columns: the ids of its weight in canonical order, and per largest
+# part the lengths, positions and ids of its columns (``_column_groups``)
+_Columns = tuple[tuple[int, ...], list[tuple[list[int], list[int], list[int]]]]
 
 
 def _column_groups(ids: tuple[int, ...]) -> _Columns:
     """The columns of a row over ids of one weight in canonical order, as
-    their count and their groups by largest part: group t holds the lengths,
-    the positions and the ids of the columns whose largest part is t, in
+    the ids and their groups by largest part: group t holds the lengths, the
+    positions and the ids of the columns whose largest part is t, in
     canonical order, which orders them by length."""
     groups: list[tuple[list[int], list[int], list[int]]] = []
     for position, mu in enumerate(ids):
@@ -567,7 +568,7 @@ def _column_groups(ids: tuple[int, ...]) -> _Columns:
         lengths.append(_length[mu])
         positions.append(position)
         mus.append(mu)
-    return len(ids), groups
+    return ids, groups
 
 
 def _inverse_row(lam: int, columns: _Columns) -> tuple[int, ...]:
@@ -575,29 +576,27 @@ def _inverse_row(lam: int, columns: _Columns) -> tuple[int, ...]:
     weight, as ``_column_groups`` groups them.  The row starts from zeros and
     visits only the columns that the zero gate leaves open: none whose
     largest part is larger than lam's, and none with fewer parts than lam.
-    In the group of lam's own largest part, each column's entry is
-    tail-reduced and read through the memo (``_duan_entry``).  A group with
-    a smaller largest part t takes the peels of lam against t once and sums
-    each column's sub-entries over them here, reading them through one table
-    per removal of lam; at weight 20 each is read about 11 times.  The
-    tables go with the row."""
-    count, groups = columns
+    Each group with an open column takes the peels of lam against its
+    largest part t once and sums each column's sub-entries over them here,
+    reading them through one table per removal of lam; at weight 20 each is
+    read about 11 times.  Against its own largest part lam has one peel, of
+    strip size 0, so a column of that group reads the entry of lam and mu
+    without their largest parts.  The tables go with the row.  The empty
+    lam has no peel; its row is the one entry 1."""
+    if not lam:
+        return (1,)
+    ids, groups = columns
     top, length = _top[lam], _length[lam]
     reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
-    row = [0] * count
+    row = [0] * len(ids)
     for t, (lengths, positions, mus) in enumerate(groups[: top + 1]):
         first = bisect_left(lengths, length)
         if first == len(mus):
             continue  # no column here has as many parts as lam
-        group = zip(positions[first:], mus[first:])
-        if t == top:
-            for position, mu in group:
-                row[position] = _duan_entry(lam, mu)
-            continue
         # an entry of weight m is read back only from a higher weight, which
         # a table of weight m never asks for, so it must never enter the memo
         peels = [(sign, strip, reads[reduced]) for sign, strip, reduced in _peels(lam, t)]
-        for position, mu in group:
+        for position, mu in zip(positions[first:], mus[first:]):
             rest = _rest[mu]
             total = 0
             for sign, strip, read in peels:
@@ -612,14 +611,13 @@ def _weight_rows(m: int, inverse: bool):
     that computes each row only when it is asked for.  The weight is checked
     here, before any row.  Every partition of m has weight m, so the entries
     skip the weight check: duan rows (``_inverse_row``) take the ids of the
-    weight, grouped once for every row, and tableau counting the part
-    tuples.  Neither memoizes an entry of weight m, only the sub-entries
-    below it."""
+    weight as its grouped columns (``_weight_columns``), and tableau
+    counting the part tuples.  Neither memoizes an entry of weight m, only
+    the sub-entries below it."""
     labels = tuple(enumerate_partitions(m))
     if inverse:
-        ids = _weight_ids(m)
-        columns = _column_groups(ids)
-        rows = (_inverse_row(a, columns) for a in ids)
+        columns = _weight_columns(m)
+        rows = (_inverse_row(a, columns) for a in columns[0])
     else:
         parts = [p.parts for p in labels]
         rows = (tuple(_kostka_sum(a, b) for b in parts) for a in parts)

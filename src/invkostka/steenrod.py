@@ -62,16 +62,38 @@ def expansion_mod(expansion: SchurExpansion, p: int) -> ModPExpansion:
     return ModPExpansion(p, expansion.coeffs)
 
 
+# the primes 2 to 41: as Miller-Rabin bases together they decide every n
+# below _PRIME_BOUND exactly (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, by a deterministic Miller-Rabin test over
+    ``_PRIME_BASES``.  A p at or above ``_PRIME_BOUND``, where the test is no
+    longer exact, is refused with a ValueError."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    # p is odd and larger than every base: write p - 1 = d * 2^s, d odd
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -58,7 +58,7 @@ def _module(name):
 UNCOUNTED_MEMOS = [
     ("inverse", "_intern"),
     ("inverse", "_part_removals"),
-    ("inverse", "_weight_ids"),
+    ("inverse", "_weight_columns"),
     ("inverse", "_schur_row"),
 ]
 

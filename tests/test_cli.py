@@ -247,6 +247,8 @@ def test_domain_errors_exit_2(capsys):
         ["gpoly", "99999999999999999999999", "4"],
         ["fpoly", "--lambda", "[1]", "--mu", "[1]", "--n", "10000000000000000000"],
         ["steenrod", "--op", "P", "--k", "1", "--m", "2", "--p", "9"],  # odd, not prime
+        # too large for the prime test to decide
+        ["steenrod", "--op", "P", "--k", "0", "--m", "1", "--p", "3317044064679887385961981"],
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv

@@ -377,6 +377,25 @@ def test_matrix_builders_leave_the_row_memo_empty():
     assert inverse._schur_row.cache_info().currsize == 0
 
 
+def test_rows_of_a_weight_group_its_columns_once(monkeypatch):
+    # every row of a weight and its matrix share one grouping of the
+    # weight's ids
+    calls = []
+    group = inverse._column_groups
+
+    def counted(ids):
+        calls.append(len(ids))
+        return group(ids)
+
+    monkeypatch.setattr(inverse, "_column_groups", counted)
+    clear_caches()
+    for lam in enumerate_partitions(12):
+        monomial_to_schur(lam)
+    inverse_kostka_matrix(12)
+    assert calls == [77]
+    clear_caches()
+
+
 def test_warm_rows_equal_the_er_rows():
     # the row memo is keyed by part tuples, so it outlives a rebuilt id table
     clear_caches()
@@ -411,10 +430,10 @@ def test_grouped_rows_equal_the_per_pair_entries_and_the_er_rows():
         labels = enumerate_partitions(m)
         for lam in labels:
             inverse._intern.cache_clear()
-            ids = inverse._weight_ids(m)
+            ids = inverse._weight_columns(m)[0]
             a = inverse._intern(lam.parts)
             _check_row(inverse._inverse_row(a, inverse._column_groups(ids)), a, ids, labels)
-        ids = inverse._weight_ids(m)
+        ids = inverse._weight_columns(m)[0]
         _, rows = inverse._weight_rows(m, True)
         for a, row in zip(ids, rows, strict=True):
             _check_row(row, a, ids, labels)
@@ -422,17 +441,17 @@ def test_grouped_rows_equal_the_per_pair_entries_and_the_er_rows():
     picks = [rng.choice(enumerate_partitions(rng.randint(20, 26))) for _ in range(30)]
     for lam in picks + [P([1] * 30), P([30])]:
         labels = enumerate_partitions(lam.weight)
-        ids = inverse._weight_ids(lam.weight)
+        ids = inverse._weight_columns(lam.weight)[0]
         a = inverse._intern(lam.parts)
         _check_row(inverse._inverse_row(a, inverse._column_groups(ids)), a, ids, labels)
     clear_caches()
 
 
 def test_rows_visit_only_the_pairs_the_zero_gate_leaves_open(monkeypatch):
-    # a pair of the row's own weight reaches the entry only when its largest
-    # parts agree and mu has at least as many parts as lam; the rows sum every
-    # other open pair from the peels and the strip table, never a move, and
-    # take the peels once per group that holds an open pair
+    # no pair of the row's own weight reaches the entry or a move: the rows
+    # sum every open pair, lam's own largest part included, from the peels
+    # and the strip table, and take the peels once per group that holds an
+    # open pair
     m = 12
     clear_caches()
     walks = _count_strip_walks(monkeypatch)
@@ -447,19 +466,16 @@ def test_rows_visit_only_the_pairs_the_zero_gate_leaves_open(monkeypatch):
     inverse_kostka_matrix(m)
     for lam in enumerate_partitions(m):
         monomial_to_schur(lam)
-    ids = inverse._weight_ids(m)
+    ids = inverse._weight_columns(m)[0]
     top, length = inverse._top, inverse._length
-    same_top = [
-        (a, b) for a in ids for b in ids if top[b] == top[a] and length[b] >= length[a]
-    ]
-    assert sorted(own["_duan_entry"]) == sorted(same_top * 2)
-    assert own["_duan_moves"] == []
+    assert own["_duan_entry"] == own["_duan_moves"] == []
     peeled = {
-        (a, top[b]) for a in ids for b in ids if top[b] < top[a] and length[b] >= length[a]
+        (a, top[b]) for a in ids for b in ids if top[b] <= top[a] and length[b] >= length[a]
     }
     assert sorted(own["_peels"]) == sorted(list(peeled) * 2)
-    # the work below the rows is the same as when every pair was visited
-    assert len(walks) == 388
+    # the work below the rows is the same as when every pair was visited,
+    # apart from one size-0 strip walk per rest of a mu in lam's own group
+    assert len(walks) == 399
     assert inverse._duan_recurse.cache_info().currsize == 836
     assert len(inverse._top) == 272
 
@@ -529,7 +545,7 @@ def test_partition_ids_decode_to_their_parts():
             assert inverse._length[i] == lam.length
             assert inverse._top[i] == (lam.parts[-1] if lam.parts else 0)
             assert inverse._rest[i] == inverse._intern(lam.parts[:-1])
-        assert inverse._weight_ids(m) == tuple(
+        assert inverse._weight_columns(m)[0] == tuple(
             inverse._intern(lam.parts) for lam in enumerate_partitions(m)
         )
 
@@ -551,7 +567,7 @@ def test_clear_caches_leaves_only_the_empty_partition_id():
     columns = (inverse._top, inverse._length, inverse._rest)
     assert all(len(column) == 1 for column in columns)
     assert inverse._decode(0) == () and inverse._intern(()) == 0
-    memos = (inverse._duan_recurse, inverse._part_removals, inverse._weight_ids)
+    memos = (inverse._duan_recurse, inverse._part_removals, inverse._weight_columns)
     assert all(memo.cache_info().currsize == 0 for memo in memos)
     assert inverse_kostka_matrix(10) == before
 
@@ -599,8 +615,8 @@ def test_a_strip_column_fills_in_one_walk_per_miss(monkeypatch):
         for size in column
         if size <= inverse._length[i]
     )
-    assert walked == filled and len(walked) == 388
-    assert len(inverse._preds) == 76
+    assert walked == filled and len(walked) == 399
+    assert len(inverse._preds) == 77
     assert inverse._duan_recurse.cache_info().currsize == 836
     assert len(inverse._top) == 272
 

@@ -9,9 +9,11 @@ from math import factorial, prod
 import pytest
 
 from invkostka.steenrod import (
+    _PRIME_BOUND,
     EPolynomial,
     ModPExpansion,
     _check_km,
+    _is_prime,
     _wu_binom,
     epoly_to_polynomial,
     epoly_to_schur,
@@ -52,7 +54,33 @@ def test_prime_validation():
     for composite in (9, 15, 25, 49, 1_000_001):  # odd; 1_000_001 = 101 * 9901
         with pytest.raises(ValueError):
             steenrod_P(1, 2, composite)
-    assert steenrod_P(0, 1, 1_000_003) == ModPExpansion(1_000_003, {P([1]): 1})
+    for prime in (1_000_003, 10**18 + 3):
+        assert steenrod_P(0, 1, prime) == ModPExpansion(prime, {P([1]): 1})
+
+
+def _trial_division(p: int) -> bool:
+    return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+
+def test_prime_test_agrees_with_trial_division():
+    assert [p for p in range(-3, 20_000) if _is_prime(p)] == [
+        p for p in range(-3, 20_000) if _trial_division(p)
+    ]
+
+
+def test_prime_test_decides_large_p_at_once():
+    # 561 and 41041 are Carmichael numbers; 825265, 3215031751 and
+    # 318665857834031151167461 are strong pseudoprimes to the first 3, 4
+    # and 12 prime bases
+    for composite in (561, 41041, 825265, 3215031751, 318665857834031151167461):
+        assert not _is_prime(composite), composite
+    for prime in (10**18 + 3, 2**61 - 1, 10**16 + 61):
+        assert _is_prime(prime), prime
+    # past the bound the bases decide nothing, so p is refused
+    assert not _is_prime(_PRIME_BOUND - 1)
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2, 10**40):
+        with pytest.raises(ValueError):
+            _is_prime(p)
 
 
 def test_degree_bounds():
