@@ -92,7 +92,8 @@ _MEMOS = {
 
 
 def clear_caches() -> None:
-    """Empty every memo (``functools.lru_cache``) in the package.
+    """Empty every memo in the package: each ``functools.lru_cache``, the
+    strip engine's own memo and its partition ids.
 
     The engines keep their memos for the life of the process; a long-lived
     caller frees that memory with this call, and later calls rebuild what

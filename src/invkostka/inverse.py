@@ -24,11 +24,13 @@ meets a strip size the table lacks fills that size alone, with one
 predecessor walk of exactly that size; a strip longer than the partition is
 stored empty without a walk.  Two memos over one int sit beside the tables:
 the one-part removals of an id and the ids of the partitions of a weight,
-grouped as a row's columns.
-So the engine's memo hashes two small ints, and its step reads stored ids
-instead of slicing and hashing tuples.  The public entry points intern their
-arguments once, and the row and matrix builders intern the partitions of a
-weight once.  Only duan uses the tables; er and brute run on part tuples.
+grouped as a row's columns.  The engine's memo is one dict per id of lam,
+keyed by the id of mu (``_duan_recurse``), holding the entry of every pair
+as it was read, reduced or not.  A stored entry is read by two dict lookups
+with no Python call, and the step reads stored ids instead of slicing and
+hashing tuples.  The public entry points intern their arguments once, and
+the row and matrix builders intern the partitions of a weight once.  Only
+duan uses the tables; er and brute run on part tuples.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
 written once: on ids for duan, on part tuples for er.  A move removes one
@@ -36,36 +38,39 @@ part of lam and carries every mu' that goes with it, for duan the stored
 strip predecessors and for er the one reduction.  The duan step joins two
 rules, each written once: the peels of lam against the largest part of mu
 (``_peels``) and the strip-table read of a strip size (``_strip_column``).
-The memoized engine sums its own entries over them from its own frame, so a
-step adds no stack depth.  The same moves serve twice more: the S and T
-chains, whose signed counts reproduce the entry, unroll them down to the
-empty pair in one lazy walk, which the enumerations collect and the CLI
-writes chain by chain (the S walk decodes ids to part tuples only to record
-each step), and the Corollary 1 check sums strip-engine entries over one
-move of each step.  On top of these sit the signed-solution polynomial f and
-labeled matrix builders for whole-weight tables.  The matrix builders and
-the CLI's ``matrix`` command share one lazy row generator, so the CLI can
-write each row as soon as it is computed.  Every partition it enumerates has
-the weight it was given, so it calls the entry on ids without the per-entry
-weight check of the public entry functions.  A row reads its columns
-grouped by largest part (``_column_groups``), one grouping per weight kept
-beside its ids (``_weight_columns``).  It visits only what the zero gate
-leaves open: the groups whose largest part is at most lam's, and in each the
-columns with at least as many parts as lam.  Every such group, lam's own
-included, takes lam's peels once and sums its columns' entries itself,
-without the memo, reading their sub-entries through tables of its own
-(``_inverse_row``); against its own largest part lam has a single peel, of
-strip size 0.  ``monomial_to_schur``, behind ``row`` and ``steenrod``, reads
-the same row.  So the duan memo holds only sub-entries of lower weights,
-never an entry of a matrix or row's own weight, and ``monomial_to_schur``
-keeps each lam's nonzero support once, keyed by its parts (``_schur_row``),
-because a long-lived caller such as a Steenrod computation asks for the same
-few rows again and again.  The matrix builders never fill that row memo.
+The memoized engine sums its own entries over them, each move's sub-entries
+in one ``sum(map(...))`` over the table of lam', so a stored sub-entry costs
+no frame and a step adds no stack depth.  The same moves serve twice more:
+the S and T chains, whose signed counts reproduce the entry, unroll them
+down to the empty pair in one lazy walk, which the enumerations collect and
+the CLI writes chain by chain (the S walk decodes ids to part tuples only to
+record each step), and the Corollary 1 check sums strip-engine entries over
+one move of each step.  On top of these sit the signed-solution polynomial f
+and labeled matrix builders for whole-weight tables.  The matrix builders
+and the CLI's ``matrix`` command share one lazy row generator, so the CLI
+can write each row as soon as it is computed.  Every partition it enumerates
+has the weight it was given, so it calls the entry on ids without the
+per-entry weight check of the public entry functions.  A row reads its
+columns grouped by largest part (``_column_groups``), one grouping per
+weight kept beside its ids (``_weight_columns``).  It visits only what the
+zero gate leaves open: the groups whose largest part is at most lam's, and
+in each the columns with at least as many parts as lam.  Every such group,
+lam's own included, takes lam's peels once and sums its columns' entries
+itself, without storing them, reading their sub-entries from the memo's
+tables in the same way as the step (``_inverse_row``); against its own
+largest part lam has a single peel, of strip size 0.  ``monomial_to_schur``,
+behind ``row`` and ``steenrod``, reads the same row.  So the duan memo holds
+only sub-entries of lower weights, never an entry of a matrix or row's own
+weight, and ``monomial_to_schur`` keeps each lam's nonzero support once,
+keyed by its parts (``_schur_row``), because a long-lived caller such as a
+Steenrod computation asks for the same few rows again and again.  The matrix
+builders never fill that row memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -194,10 +199,8 @@ def inv_kostka_duan(lam: Partition, mu: Partition) -> int:
 
 def _duan_entry(lam: int, mu: int) -> int:
     """The entry of a pair of ids: tail-reduce it, decide the empty and the
-    cancelling cases, and sum a pair that is left through the memo (looked up
-    on each call)."""
-    # memo key is the pair of ids after tail reduction; the reduced form also
-    # makes the cancellation tests cheap
+    cancelling cases, and read a pair that is left from the memo."""
+    # the reduced form makes the cancellation tests cheap
     while lam and _top[lam] == _top[mu]:
         lam = _rest[lam]
         mu = _rest[mu]
@@ -206,19 +209,61 @@ def _duan_entry(lam: int, mu: int) -> int:
     # now the largest parts differ, so the last-nonzero order is decided there
     if _length[lam] > _length[mu] or _top[lam] < _top[mu]:
         return 0
-    return _duan_recurse(lam, mu)
+    return _duan_recurse[lam][mu]
 
 
 def _duan_sum(lam: int, mu: int) -> int:
-    """One step's signed sum of sub-entries, each read through the memo."""
+    """One step's signed sum of sub-entries, each read from the memo."""
     total = 0
     for sign, _, reduced, omegas in _duan_moves(lam, mu):
-        for omega in omegas:
-            total += sign * _duan_entry(reduced, omega)
+        total += sign * sum(map(_duan_recurse[reduced].__getitem__, omegas))
     return total
 
 
-_duan_recurse = lru_cache(maxsize=None)(_duan_sum)
+class _Entries(dict):
+    """The memo's entries of one lam, by the id of mu: each pair as it was
+    read, filled on its first read.  A pair that is reduced and open is
+    summed by one step; any other goes through the entry, which keeps its
+    reduced pair in that pair's own table."""
+
+    __slots__ = ("lam",)
+
+    def __init__(self, lam: int):
+        super().__init__()
+        self.lam = lam
+
+    def __missing__(self, mu: int) -> int:
+        lam = self.lam
+        if _top[lam] > _top[mu] and _length[lam] <= _length[mu]:
+            value = self[mu] = _duan_sum(lam, mu)
+        else:
+            value = self[mu] = _duan_entry(lam, mu)
+        return value
+
+
+# the counters that ``functools.lru_cache`` reports, for the memo below
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _DuanMemo(dict):
+    """The strip engine's memo: one table of entries (``_Entries``) per id
+    of lam, made on its first read.  A read of a stored entry is two dict
+    lookups with no Python call, so nothing counts hits; every miss stores
+    one entry, so the misses are the entries."""
+
+    def __missing__(self, lam: int) -> _Entries:
+        entries = self[lam] = _Entries(lam)
+        return entries
+
+    def cache_info(self) -> _CacheInfo:
+        size = sum(map(len, self.values()))
+        return _CacheInfo(0, size, None, size)
+
+
+# bound on the instance: clear_caches() calls every module-level object
+# with a cache_clear, and a class holding one would be such an object
+_duan_recurse = _DuanMemo()
+_duan_recurse.cache_clear = _duan_recurse.clear
 
 
 def _duan_moves(lam: int, mu: int):
@@ -533,22 +578,6 @@ class LabeledMatrix:
         )
 
 
-class _SubEntries(dict):
-    """The sub-entries of one row under one of its one-part removals lam',
-    by the id of mu': each is read through the memo on its first use and
-    from here after that."""
-
-    __slots__ = ("lam",)
-
-    def __init__(self, lam: int):
-        super().__init__()
-        self.lam = lam
-
-    def __missing__(self, mu: int) -> int:
-        value = self[mu] = _duan_entry(self.lam, mu)
-        return value
-
-
 # a row's columns: the ids of its weight in canonical order, and per largest
 # part the lengths, positions and ids of its columns (``_column_groups``)
 _Columns = tuple[tuple[int, ...], list[tuple[list[int], list[int], list[int]]]]
@@ -578,16 +607,15 @@ def _inverse_row(lam: int, columns: _Columns) -> tuple[int, ...]:
     largest part is larger than lam's, and none with fewer parts than lam.
     Each group with an open column takes the peels of lam against its
     largest part t once and sums each column's sub-entries over them here,
-    reading them through one table per removal of lam; at weight 20 each is
-    read about 11 times.  Against its own largest part lam has one peel, of
-    strip size 0, so a column of that group reads the entry of lam and mu
-    without their largest parts.  The tables go with the row.  The empty
-    lam has no peel; its row is the one entry 1."""
+    reading them from the memo's table of each removal of lam; at weight 20
+    each is read about 11 times.  Against its own largest part lam has one
+    peel, of strip size 0, so a column of that group reads the entry of lam
+    and mu without their largest parts.  The row's own entries are not
+    stored.  The empty lam has no peel; its row is the one entry 1."""
     if not lam:
         return (1,)
     ids, groups = columns
     top, length = _top[lam], _length[lam]
-    reads = {reduced: _SubEntries(reduced).__getitem__ for _, reduced in _part_removals(lam)}
     row = [0] * len(ids)
     for t, (lengths, positions, mus) in enumerate(groups[: top + 1]):
         first = bisect_left(lengths, length)
@@ -595,7 +623,10 @@ def _inverse_row(lam: int, columns: _Columns) -> tuple[int, ...]:
             continue  # no column here has as many parts as lam
         # an entry of weight m is read back only from a higher weight, which
         # a table of weight m never asks for, so it must never enter the memo
-        peels = [(sign, strip, reads[reduced]) for sign, strip, reduced in _peels(lam, t)]
+        peels = [
+            (sign, strip, _duan_recurse[reduced].__getitem__)
+            for sign, strip, reduced in _peels(lam, t)
+        ]
         for position, mu in zip(positions[first:], mus[first:]):
             rest = _rest[mu]
             total = 0

@@ -476,14 +476,16 @@ def test_rows_visit_only_the_pairs_the_zero_gate_leaves_open(monkeypatch):
     # the work below the rows is the same as when every pair was visited,
     # apart from one size-0 strip walk per rest of a mu in lam's own group
     assert len(walks) == 399
-    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert inverse._duan_recurse.cache_info().currsize == 1179
     assert len(inverse._top) == 272
 
 
 def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
     # the values cannot tell: the recursion is right on unreduced pairs and
-    # gives 0 below mu, so guard the gate that keeps such pairs out of the memo
-    recurse = inverse._duan_recurse
+    # gives 0 below mu, so guard the gate that lets only reduced, open pairs
+    # reach the memo's step sum, each once; every other pair the memo keeps
+    # was read through the entry
+    step = inverse._duan_sum
     seen = []
 
     def checked(a, b):
@@ -491,15 +493,23 @@ def test_duan_memo_sees_only_reduced_nonzero_pairs(monkeypatch):
         lam, mu = inverse._decode(a), inverse._decode(b)
         assert lam and lam[-1] != mu[-1], (lam, mu)
         assert len(lam) <= len(mu) and _last_nonzero_cmp(lam, mu) > 0, (lam, mu)
-        return recurse(a, b)
+        return step(a, b)
 
-    monkeypatch.setattr(inverse, "_duan_recurse", checked)
-    recurse.cache_clear()
+    monkeypatch.setattr(inverse, "_duan_sum", checked)
+    clear_caches()
     for m in range(0, 11):
         inverse_kostka_matrix(m)
         for lam in enumerate_partitions(m):
             monomial_to_schur(lam)
-    assert seen and recurse.cache_info().currsize == len(set(seen))
+    top, length = inverse._top, inverse._length
+    summed = [
+        (a, b)
+        for a, entries in inverse._duan_recurse.items()
+        for b in entries
+        if top[a] > top[b] and length[a] <= length[b]
+    ]
+    assert seen and len(set(seen)) == len(seen)
+    assert sorted(seen) == sorted(summed)
 
 
 def test_whole_weight_tables_memoize_only_lower_weights(monkeypatch):
@@ -507,33 +517,31 @@ def test_whole_weight_tables_memoize_only_lower_weights(monkeypatch):
     # builders for weight m, the matrices and every row, sum their own
     # entries and memoize none of them
     clear_caches()
-    seen = {"duan": [], "kostka": []}  # weights of the pairs sent to each memo
-    sites = {
-        "duan": (inverse, "_duan_recurse", lambda lam, mu: sum(inverse._decode(lam))),
-        "kostka": (symfunc, "_kostka_raw", lambda shape, content: sum(shape)),
-    }
-    for name, (module, attr, weight) in sites.items():
-        def checked(a, b, memo=getattr(module, attr), weight=weight, into=seen[name]):
-            into.append(weight(a, b))
-            return memo(a, b)
+    seen = []  # weights of the pairs sent to the Kostka memo
+    kostka = symfunc._kostka_raw
 
-        monkeypatch.setattr(module, attr, checked)
+    def checked(shape, content):
+        seen.append(sum(shape))
+        return kostka(shape, content)
+
+    monkeypatch.setattr(symfunc, "_kostka_raw", checked)
     for m in range(0, 13):
-        for weights in seen.values():
-            weights.clear()
+        seen.clear()
         inverse_kostka_matrix(m)
         kostka_matrix(m)
         for lam in enumerate_partitions(m):
             monomial_to_schur(lam)
-        assert all(w < m for weights in seen.values() for w in weights), m
-    assert all(seen.values())
+        assert all(w < m for w in seen), m
+        # the strip engine's memo holds one table per lam it was read for
+        assert all(sum(inverse._decode(lam)) < m for lam in inverse._duan_recurse), m
+    assert seen and inverse._duan_recurse
     monkeypatch.undo()
     clear_caches()
     inverse_kostka_matrix(12)
     kostka_matrix(12)
     for lam in enumerate_partitions(12):
         monomial_to_schur(lam)
-    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert inverse._duan_recurse.cache_info().currsize == 1179
     assert symfunc._kostka_raw.cache_info().currsize == 1208
 
 
@@ -617,7 +625,7 @@ def test_a_strip_column_fills_in_one_walk_per_miss(monkeypatch):
     )
     assert walked == filled and len(walked) == 399
     assert len(inverse._preds) == 77
-    assert inverse._duan_recurse.cache_info().currsize == 836
+    assert inverse._duan_recurse.cache_info().currsize == 1179
     assert len(inverse._top) == 272
 
 
@@ -653,6 +661,50 @@ def test_clearing_the_id_table_clears_the_duan_memo():
     inv_kostka_duan(lam, mu)
     inverse._duan_recurse.cache_clear()
     assert inv_kostka_duan(lam, mu) == value == inv_kostka_er(lam, mu)
+
+
+def test_duan_memo_keeps_every_pair_it_read_with_its_entry():
+    # one table per lam, keyed by mu: each pair read by the matrix, the rows
+    # and the step sums below them, reduced or not, holds its entry
+    clear_caches()
+    inverse_kostka_matrix(12)
+    for lam in enumerate_partitions(12):
+        monomial_to_schur(lam)
+    memo = inverse._duan_recurse
+    stored = {lam: dict(entries) for lam, entries in memo.items()}
+    for lam, entries in stored.items():
+        a = P(inverse._decode(lam))
+        for mu, value in entries.items():
+            assert value == inv_kostka_er(a, P(inverse._decode(mu))), (lam, mu)
+    size = sum(map(len, stored.values()))
+    assert memo.cache_info() == (0, size, None, size)
+    # a second read of the same matrix finds every pair it needs
+    inverse_kostka_matrix(12)
+    assert {lam: dict(entries) for lam, entries in memo.items()} == stored
+    clear_caches()
+    assert memo.cache_info().currsize == 0 and not memo
+    inverse_kostka_matrix(12)
+    assert memo.cache_info().currsize == size
+    inverse._intern.cache_clear()
+    assert memo.cache_info().currsize == 0 and not memo
+
+
+def test_a_recursion_error_leaves_no_wrong_entry_in_the_duan_memo():
+    # a step that fails part way stores nothing for its pair, and the
+    # entries it finished below it are right
+    clear_caches()
+    with pytest.raises(RecursionError):
+        inv_kostka_duan(P([1] * 1100 + [2]), P([1] * 1102))
+    # climbing to the same pair in short steps reads the pairs the failed
+    # walk passed through
+    for n in (250, 500, 750, 1000, 1100):
+        assert inv_kostka_duan(P([1] * n + [2]), P([1] * (n + 2))) == -(n + 1), n
+    assert inv_kostka_duan(P([2, 3]), P([1, 1, 1, 2])) == inv_kostka_er(P([2, 3]), P([1, 1, 1, 2]))
+    parts = enumerate_partitions(8)
+    for lam in parts:
+        for mu in parts:
+            assert inv_kostka_duan(lam, mu) == inv_kostka_er(lam, mu), (lam, mu)
+    clear_caches()
 
 
 def test_one_step_expansion_identity_examples():
