@@ -93,7 +93,7 @@ _MEMOS = {
 
 def clear_caches() -> None:
     """Empty every memo in the package: each ``functools.lru_cache``, the
-    strip engine's own memo and its partition ids.
+    two recursive engines' pair memos and the strip engine's partition ids.
 
     The engines keep their memos for the life of the process; a long-lived
     caller frees that memory with this call, and later calls rebuild what

@@ -24,13 +24,17 @@ meets a strip size the table lacks fills that size alone, with one
 predecessor walk of exactly that size; a strip longer than the partition is
 stored empty without a walk.  Two memos over one int sit beside the tables:
 the one-part removals of an id and the ids of the partitions of a weight,
-grouped as a row's columns.  The engine's memo is one dict per id of lam,
-keyed by the id of mu (``_duan_recurse``), holding the entry of every pair
-as it was read, reduced or not.  A stored entry is read by two dict lookups
-with no Python call, and the step reads stored ids instead of slicing and
-hashing tuples.  The public entry points intern their arguments once, and
-the row and matrix builders intern the partitions of a weight once.  Only
-duan uses the tables; er and brute run on part tuples.
+grouped as a row's columns.  The public entry points intern their arguments
+once, and the row and matrix builders intern the partitions of a weight
+once.  Only duan uses the tables; er and brute run on part tuples.
+
+Both recursive engines memoize in one shape (``_PairMemo``): one dict per
+lam, keyed by mu, holding the entry of every pair as it was read.  Duan's
+(``_duan_recurse``) is keyed by ids and holds pairs reduced or not; er's
+(``_er_recurse``) is keyed by part tuples.  The shape holds no recurrence
+math: each engine's table class keeps its own step in ``__missing__``.  A
+stored entry is read by two dict lookups with no Python call, and the strip
+step reads stored ids instead of slicing and hashing tuples.
 
 Each recurrence step is a generator of signed (sign, j, lam', mu's) moves,
 written once: on ids for duan, on part tuples for er.  A move removes one
@@ -38,9 +42,10 @@ part of lam and carries every mu' that goes with it, for duan the stored
 strip predecessors and for er the one reduction.  The duan step joins two
 rules, each written once: the peels of lam against the largest part of mu
 (``_peels``) and the strip-table read of a strip size (``_strip_column``).
-The memoized engine sums its own entries over them, each move's sub-entries
-in one ``sum(map(...))`` over the table of lam', so a stored sub-entry costs
-no frame and a step adds no stack depth.  The same moves serve twice more:
+Each memoized engine sums its own entries over them from the table of lam':
+duan each move's sub-entries in one ``sum(map(...))``, er each move's one
+sub-entry by one subscript.  So a stored sub-entry costs no frame and a step
+adds no stack depth.  The same moves serve twice more:
 the S and T chains, whose signed counts reproduce the entry, unroll them
 down to the empty pair in one lazy walk, which the enumerations collect and
 the CLI writes chain by chain (the S walk decodes ids to part tuples only to
@@ -189,6 +194,47 @@ def _part_removals(lam: int) -> tuple[tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
+# the memo shape of both recursive engines
+
+
+class _Table(dict):
+    """One lam's entries in an engine's memo, by mu, and the lam they share
+    (set by the memo).  The engine's subclass holds its step in
+    ``__missing__``, which stores a pair's entry on its first read once the
+    step's sum is complete, so a step that fails part way stores nothing."""
+
+    __slots__ = ("lam",)
+
+
+# the counters that ``functools.lru_cache`` reports, for the memo below
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _PairMemo(dict):
+    """An engine's memo: one table of entries per lam, of the engine's own
+    table class, made on its first read.  A read of a stored entry is two
+    dict lookups with no Python call, so nothing counts hits; every miss
+    stores one entry, so the misses are the entries."""
+
+    def __init__(self, table: type[_Table]):
+        super().__init__()
+        self._table = table
+        # bound on the instance: clear_caches() calls every module-level
+        # object with a cache_clear, and a class holding one would be such
+        # an object
+        self.cache_clear = self.clear
+
+    def __missing__(self, lam) -> _Table:
+        entries = self[lam] = self._table()
+        entries.lam = lam
+        return entries
+
+    def cache_info(self) -> _CacheInfo:
+        size = sum(map(len, self.values()))
+        return _CacheInfo(0, size, None, size)
+
+
+# ---------------------------------------------------------------------------
 # engine 1: peel the largest part of mu, remove vertical strips
 
 
@@ -220,17 +266,12 @@ def _duan_sum(lam: int, mu: int) -> int:
     return total
 
 
-class _Entries(dict):
-    """The memo's entries of one lam, by the id of mu: each pair as it was
-    read, filled on its first read.  A pair that is reduced and open is
-    summed by one step; any other goes through the entry, which keeps its
-    reduced pair in that pair's own table."""
+class _Entries(_Table):
+    """The strip engine's entries of one lam, by the id of mu.  A pair that
+    is reduced and open is summed by one step; any other goes through the
+    entry, which keeps its reduced pair in that pair's own table."""
 
-    __slots__ = ("lam",)
-
-    def __init__(self, lam: int):
-        super().__init__()
-        self.lam = lam
+    __slots__ = ()
 
     def __missing__(self, mu: int) -> int:
         lam = self.lam
@@ -241,29 +282,7 @@ class _Entries(dict):
         return value
 
 
-# the counters that ``functools.lru_cache`` reports, for the memo below
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _DuanMemo(dict):
-    """The strip engine's memo: one table of entries (``_Entries``) per id
-    of lam, made on its first read.  A read of a stored entry is two dict
-    lookups with no Python call, so nothing counts hits; every miss stores
-    one entry, so the misses are the entries."""
-
-    def __missing__(self, lam: int) -> _Entries:
-        entries = self[lam] = _Entries(lam)
-        return entries
-
-    def cache_info(self) -> _CacheInfo:
-        size = sum(map(len, self.values()))
-        return _CacheInfo(0, size, None, size)
-
-
-# bound on the instance: clear_caches() calls every module-level object
-# with a cache_clear, and a class holding one would be such an object
-_duan_recurse = _DuanMemo()
-_duan_recurse.cache_clear = _duan_recurse.clear
+_duan_recurse = _PairMemo(_Entries)
 
 
 def _duan_moves(lam: int, mu: int):
@@ -316,18 +335,25 @@ def _strip_column(rest: int, strip: int) -> tuple[int, ...]:
 
 def inv_kostka_er(lam: Partition, mu: Partition) -> int:
     check_same_weight(lam, mu)
-    return _er_recurse(lam.parts, mu.parts)
+    return _er_recurse[lam.parts][mu.parts]
 
 
-@lru_cache(maxsize=None)
-def _er_recurse(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not lam:  # every move keeps the weights equal, so mu is empty too
-        return 1
-    total = 0
-    for sign, _, reduced, omegas in _er_moves(lam, mu):
-        for omega in omegas:
-            total += sign * _er_recurse(reduced, omega)
-    return total
+class _ErEntries(_Table):
+    """The part-removal engine's entries of one lam tuple, by the mu tuple:
+    one step's signed sum, each move's one sub-entry read from the memo."""
+
+    __slots__ = ()
+
+    def __missing__(self, mu: tuple[int, ...]) -> int:
+        # every move keeps the weights equal, so an empty lam has an empty mu
+        total = 0 if self.lam else 1
+        for sign, _, reduced, (omega,) in _er_moves(self.lam, mu):
+            total += sign * _er_recurse[reduced][omega]
+        self[mu] = total
+        return total
+
+
+_er_recurse = _PairMemo(_ErEntries)
 
 
 def _er_moves(lam: tuple[int, ...], mu: tuple[int, ...]):

@@ -10,6 +10,7 @@ it reads or named here as left out.  ``perfbench/`` is only read."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,14 +64,26 @@ UNCOUNTED_MEMOS = [
 ]
 
 
+def _memo_name(memo):
+    # by the module attribute that binds it, since an instance memo such as
+    # an engine's has no __qualname__ of its own
+    return next(
+        (
+            f"{name}.{attr}"
+            for name, module in list(sys.modules.items()) if name.startswith("invkostka.")
+            for attr, obj in vars(module).items() if obj is memo
+        ),
+        type(memo).__qualname__,
+    )
+
+
 def test_every_package_memo_is_a_memo_site_or_a_named_exclusion():
     counted = {id(getattr(_module(mod), attr)) for mod, attr in probe.MEMO_SITES.values()}
     uncounted = {id(getattr(_module(mod), attr)) for mod, attr in UNCOUNTED_MEMOS}
     assert not counted & uncounted
     assert uncounted <= _MEMOS.keys()  # an exclusion that is no memo is stale
     missing = [
-        f"{memo.__module__}.{memo.__qualname__}"
-        for key, memo in _MEMOS.items() if key not in counted | uncounted
+        _memo_name(memo) for key, memo in _MEMOS.items() if key not in counted | uncounted
     ]
     assert not missing, f"memos with no MEMO_SITES entry: {missing}"
 

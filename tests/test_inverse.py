@@ -656,49 +656,69 @@ def test_clearing_the_id_table_clears_the_duan_memo():
     value = inv_kostka_duan(lam, mu)
     assert inverse._duan_recurse.cache_info().currsize
     inverse._intern.cache_clear()
-    assert inverse._duan_recurse.cache_info().currsize == 0
+    assert inverse._duan_recurse.cache_info().currsize == 0 and not inverse._duan_recurse
     # the other way round stays safe: the ids outlive the memo over them
     inv_kostka_duan(lam, mu)
     inverse._duan_recurse.cache_clear()
     assert inv_kostka_duan(lam, mu) == value == inv_kostka_er(lam, mu)
 
 
-def test_duan_memo_keeps_every_pair_it_read_with_its_entry():
-    # one table per lam, keyed by mu: each pair read by the matrix, the rows
-    # and the step sums below them, reduced or not, holds its entry
-    clear_caches()
+def _read_duan_pairs():
+    # the matrix, the rows and the step sums below them
     inverse_kostka_matrix(12)
     for lam in enumerate_partitions(12):
         monomial_to_schur(lam)
-    memo = inverse._duan_recurse
+
+
+def _read_er_pairs():
+    for m in range(11):
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            for mu in parts:
+                inv_kostka_er(lam, mu)
+
+
+@pytest.mark.parametrize(
+    "name, read, decode, other",
+    [
+        ("_duan_recurse", _read_duan_pairs, inverse._decode, inv_kostka_er),
+        ("_er_recurse", _read_er_pairs, tuple, inv_kostka_duan),
+    ],
+    ids=["duan", "er"],
+)
+def test_engine_memo_keeps_every_pair_it_read_with_its_entry(name, read, decode, other):
+    # one table per lam, keyed by mu: each pair read, reduced or not, holds
+    # its entry, which the other recursive engine confirms
+    clear_caches()
+    read()
+    memo = getattr(inverse, name)
     stored = {lam: dict(entries) for lam, entries in memo.items()}
     for lam, entries in stored.items():
-        a = P(inverse._decode(lam))
+        a = P(decode(lam))
         for mu, value in entries.items():
-            assert value == inv_kostka_er(a, P(inverse._decode(mu))), (lam, mu)
+            assert value == other(a, P(decode(mu))), (lam, mu)
     size = sum(map(len, stored.values()))
     assert memo.cache_info() == (0, size, None, size)
-    # a second read of the same matrix finds every pair it needs
-    inverse_kostka_matrix(12)
+    # a second read of the same pairs finds every pair it needs
+    read()
     assert {lam: dict(entries) for lam, entries in memo.items()} == stored
     clear_caches()
     assert memo.cache_info().currsize == 0 and not memo
-    inverse_kostka_matrix(12)
+    read()
     assert memo.cache_info().currsize == size
-    inverse._intern.cache_clear()
-    assert memo.cache_info().currsize == 0 and not memo
 
 
-def test_a_recursion_error_leaves_no_wrong_entry_in_the_duan_memo():
+@pytest.mark.parametrize("engine", [inv_kostka_duan, inv_kostka_er], ids=["duan", "er"])
+def test_a_recursion_error_leaves_no_wrong_entry_in_the_memo(engine):
     # a step that fails part way stores nothing for its pair, and the
     # entries it finished below it are right
     clear_caches()
     with pytest.raises(RecursionError):
-        inv_kostka_duan(P([1] * 1100 + [2]), P([1] * 1102))
+        engine(P([1] * 1100 + [2]), P([1] * 1102))
     # climbing to the same pair in short steps reads the pairs the failed
     # walk passed through
-    for n in (250, 500, 750, 1000, 1100):
-        assert inv_kostka_duan(P([1] * n + [2]), P([1] * (n + 2))) == -(n + 1), n
+    for n in (200, 400, 600, 800, 1000, 1100):
+        assert engine(P([1] * n + [2]), P([1] * (n + 2))) == -(n + 1), n
     assert inv_kostka_duan(P([2, 3]), P([1, 1, 1, 2])) == inv_kostka_er(P([2, 3]), P([1, 1, 1, 2]))
     parts = enumerate_partitions(8)
     for lam in parts:
